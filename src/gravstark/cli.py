@@ -16,7 +16,7 @@ import sys
 from typing import IO
 
 from .constants import atomic_scale, codata_defaults
-from .errors import GravstarkError, StableAtomSignal
+from .errors import EigensolverError, GravstarkError, StableAtomSignal
 from .frames import frame_discrepancy, frame_equivalence_check
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
@@ -190,18 +190,20 @@ def _cmd_split(args: argparse.Namespace, sink: IO[str]) -> int:
         if args.n > 4:
             raise ValueError("the dense oracle supports n <= 4; pass --no-oracle for larger n")
         oracle = degenerate_pt(args.n, comp, field, consts)
-        for row, shift in zip(rows, _match_oracle(rows, oracle)):
+        for row, shift in zip(rows, _match_oracle(rows, oracle, table.spacing)):
             row["shift_oracle_J"] = shift
     emit_table(rows, args.format, sink)
     return EXIT_OK
 
 
-def _match_oracle(rows, oracle) -> list[float]:
+def _match_oracle(rows, oracle, spacing: float) -> list[float]:
     """Align oracle (shift, multiplicity) groups with the analytic sublevels."""
     analytic_order = sorted(range(len(rows)), key=lambda i: rows[i]["shift_J"])
     expanded = [shift for shift, _ in oracle]
     out = [0.0] * len(rows)
     if len(expanded) != len(rows):
+        if spacing != 0.0:
+            raise EigensolverError(f"oracle found {len(expanded)} shifts for {len(rows)} sublevels")
         # Zero-field degeneracy: a single oracle group covers every sublevel.
         for i in analytic_order:
             out[i] = expanded[0] if expanded else 0.0

@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .constants import PhysicalConstants, atomic_scale
 from .errors import NoBarrierError, QuadratureError, StableAtomSignal
 from .masses import CompositeMasses
@@ -190,6 +188,8 @@ def wkb_rate(
             gap = -1.0 / math.sqrt(x * x + softening * softening) - force * x - GROUND_ENERGY
             return 2.0 * width * math.sqrt(2.0 * max(gap, 0.0)) * s * c
 
+    # Imported here: scipy.integrate is slow to import and only this path needs it.
+    from scipy.integrate import quad
     value, estimate = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-10, limit=200)
     exponent = 2.0 * value
     if estimate > 1e-8 * abs(value) + 1e-300:

@@ -16,8 +16,9 @@ from numerically computed radial states, diagonalized, and grouped into
 distinct shifts; the closed-form splitting emerges from the diagonalization
 instead of being assumed.  ``stabilization_scan`` diagnoses bound versus
 continuum character by diagonalizing a half-axis model with a hard wall at
-increasing box sizes: continuum level spacings shrink like 1/L, bound levels
-converge.
+increasing box sizes: continuum level spacings shrink towards 1/sqrt(L), as the
+semiclassical density of states (the integral of dx/p) grows like sqrt(L);
+bound levels converge.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .constants import PhysicalConstants, atomic_scale
 from .errors import (
@@ -117,6 +117,8 @@ def _solve_radial(spacing: float, r_max: float, l: int, count: int):
     n_points = round(r_max / spacing)
     if count > n_points - 1:
         raise ValueError("grid too small for the requested number of states")
+    # Imported here: scipy.linalg is slow to import and only the grid solves need it.
+    from scipy.linalg import eigh_tridiagonal
     r = spacing * np.arange(1, n_points + 1)
     diag = 1.0 / spacing**2 + l * (l + 1) / (2.0 * r**2) - 1.0 / r
     off = np.full(n_points - 1, -0.5 / spacing**2)
@@ -351,8 +353,8 @@ def stabilization_scan(
 
     For each box the eigenvalue nearest the window center is reported together
     with the local level spacing around it.  With F > 0 the spacing in the
-    downhill continuum shrinks like 1/L; with F = 0 a bound level in the
-    window converges as the box grows.
+    downhill continuum shrinks between 1/L and the linear-potential limit
+    1/sqrt(L); with F = 0 a bound level in the window converges as the box grows.
     """
     sizes = [float(b) for b in box_sizes]
     if len(sizes) < 3:
@@ -365,6 +367,8 @@ def stabilization_scan(
     if not lo < hi:
         raise ValueError("energy window must have lo < hi")
     center = 0.5 * (lo + hi)
+    # Imported here: scipy.linalg is slow to import and only the grid solves need it.
+    from scipy.linalg import eigvalsh_tridiagonal
 
     out = []
     for box in sizes:

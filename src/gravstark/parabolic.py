@@ -112,6 +112,7 @@ def _shift(
     field: FieldSpec,
     constants: PhysicalConstants,
 ) -> float:
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value unchanged.
     return (
         -3.0
         * composites.mass_asymmetry
@@ -120,7 +121,7 @@ def _shift(
         * n
         * k
         / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
-    )
+    ) + 0.0
 
 
 def first_order_shift(

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,30 @@ def test_per_state_schema(tmp_path):
     header = out.decode().splitlines()[0]
     assert header == "n,n1,n2,m,k,E0_J,shift_J,E_J"
     assert len(out.decode().splitlines()) == 5  # header + 4 states
+
+
+@pytest.mark.parametrize("ratio", ["1.1", "0.9"])
+@pytest.mark.parametrize("extra", [[], ["--per-state"]], ids=["sublevels", "per-state"])
+def test_zero_field_split_prints_no_negative_zero(ratio, extra, tmp_path):
+    out = invoke(
+        ["split", "--n", "3", "--mbar-e-ratio", ratio, "--g", "0", *extra, "--format", "json"],
+        tmp_path,
+    )
+    zeros = [
+        value
+        for row in json.loads(out)
+        for key, value in row.items()
+        if key.startswith("shift") and value == 0.0
+    ]
+    assert zeros, "every shift vanishes at zero field"
+    assert all(math.copysign(1.0, value) == 1.0 for value in zeros)
+
+
+def test_oracle_grouping_mismatch_exits_3(monkeypatch, capsys):
+    # Two oracle groups against three analytic sublevels at a nonzero field.
+    monkeypatch.setattr(
+        "gravstark.cli.degenerate_pt", lambda n, *args: [(-1.0e-30, 2), (1.0e-30, 2)]
+    )
+    code = run(["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err

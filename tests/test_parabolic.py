@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gravstark.masses import CompositeMasses
@@ -77,6 +79,13 @@ def test_shift_zero_cases(consts, terrestrial_field):
     center = [lv for lv in enumerate_levels(2) if lv.k == 0][0]
     assert first_order_shift(center, comp2, terrestrial_field, consts) == 0.0
     assert first_order_shift(level, comp2, FieldSpec(magnitude=0.0), consts) == 0.0
+    # zero shifts carry no sign, whatever the sign of the asymmetry or of k
+    for asymmetry in (1.0e-30, -1.0e-30):
+        comp3 = _synthetic_composites(asymmetry=asymmetry)
+        zero_field = FieldSpec(magnitude=0.0)
+        shifts = [sub.shift for sub in splitting_table(3, comp3, zero_field, consts).sublevels]
+        shifts += [lv.shift for lv in evaluate_levels(3, comp3, zero_field, consts)]
+        assert all(math.copysign(1.0, shift) == 1.0 for shift in shifts)
 
 
 def test_shift_ratio_linear_in_nk(consts, terrestrial_field):
