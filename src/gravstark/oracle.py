@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,17 +240,31 @@ def _manifold_basis(n: int) -> list[tuple[int, int]]:
     return [(l, m) for l in range(n) for m in range(-l, l + 1)]
 
 
-def _manifold_entries(n: int, force_atomic_units: float, spacing: float, r_max: float) -> np.ndarray:
-    """Matrix of -F z within the n-manifold at one grid spacing, in Hartree."""
+@lru_cache(maxsize=None)
+def _manifold_radial(n: int, spacing: float, r_max: float) -> tuple[float, ...]:
+    """Radial overlaps of u_{n,l} u_{n,l+1} r for l = 0..n-2 at one grid spacing.
+
+    Memoized: the grids depend only on (n, spacing, r_max), never on the masses
+    or the field, so repeat manifolds in one process skip every grid solve.
+    Only these floats are kept, not the eigenvectors behind them.
+    """
+    if n == 1:
+        # The 1x1 manifold is zero by parity; no radial state enters it.
+        return ()
     u_states = {}
     r = None
     for l in range(n):
         _, vectors, r = _solve_radial(spacing, r_max, l, n - l)
         u_states[l] = vectors[:, n - l - 1]
-    radial = {
-        l: float(np.trapezoid(u_states[l] * u_states[l + 1] * r, dx=spacing))
+    return tuple(
+        float(np.trapezoid(u_states[l] * u_states[l + 1] * r, dx=spacing))
         for l in range(n - 1)
-    }
+    )
+
+
+def _manifold_entries(n: int, force_atomic_units: float, spacing: float, r_max: float) -> np.ndarray:
+    """Matrix of -F z within the n-manifold at one grid spacing, in Hartree."""
+    radial = _manifold_radial(n, spacing, r_max)
     basis = _manifold_basis(n)
     index = {p: i for i, p in enumerate(basis)}
     z = np.zeros((len(basis), len(basis)))
@@ -301,18 +316,20 @@ def degenerate_pt(
     states at three nested spacings, diagonalizes each, extrapolates the
     sorted eigenvalues, and merges shifts that agree to ``GROUPING_REL_TOL``
     of the largest one.  Returned shifts ascend.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError("dense diagonalization supports n in 1..4")
-    h0, box = _default_manifold_grid(n)
-    spacing = h0 if spacing is None else spacing
-    r_max = box if r_max is None else r_max
 
+    The radial overlaps behind each matrix are memoized per process, keyed by
+    (n, spacing, r_max); the masses and the field do not enter the key, so a
+    repeat call at the same n and grid runs no grid solve.  A fresh process
+    (one CLI call) still pays the full solve.  At n = 1 the manifold is zero
+    by parity and no grid is solved.
+    """
+    if spacing is None:
+        spacing, _ = _default_manifold_grid(n)
     scale = atomic_scale(constants, composites.reduced_mass)
-    force = composites.mass_asymmetry * field.magnitude / scale.force_atomic
 
     def sorted_shifts(h: float) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(_manifold_entries(n, force, h, r_max)))
+        matrix = manifold_matrix(n, composites, field, constants, h, r_max)
+        return np.sort(np.linalg.eigvalsh(matrix.entries))
 
     s_h = sorted_shifts(spacing)
     s_h2 = sorted_shifts(spacing / 2.0)
@@ -323,7 +340,9 @@ def degenerate_pt(
     first_b = (4.0 * s_h4 - s_h2) / 3.0
     shifts = (8.0 * first_b - first_a) / 7.0
 
-    tol = GROUPING_REL_TOL * (float(np.max(np.abs(shifts))) + 1e-30)
+    # Purely relative: an absolute floor would merge every shift of a weak
+    # coupling into one group.  At zero coupling all shifts are exactly 0.
+    tol = GROUPING_REL_TOL * float(np.max(np.abs(shifts)))
     groups: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(shifts) + 1):

@@ -112,16 +112,19 @@ def _shift(
     field: FieldSpec,
     constants: PhysicalConstants,
 ) -> float:
-    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value unchanged.
+    # Below 2**-800 kg the product A g hbar would underflow, so A is carried
+    # scaled by an exact power of two; that changes no bit of a normal-range
+    # result.  Adding 0.0 turns -0.0 into 0.0 and leaves every other value unchanged.
+    scale = 2.0**800 if abs(composites.mass_asymmetry) < 2.0**-800 else 1.0
     return (
         -3.0
-        * composites.mass_asymmetry
+        * (composites.mass_asymmetry * scale)
         * field.magnitude
         * constants.hbar
         * n
         * k
         / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
-    ) + 0.0
+    ) / scale + 0.0
 
 
 def first_order_shift(
@@ -169,15 +172,5 @@ def splitting_table(
     for k in range(n - 1, -n, -1):
         shift = _shift(n, k, composites, field, constants)
         subs.append(Sublevel(k=k, shift=shift, energy=e0 + shift, multiplicity=n - abs(k)))
-    if n == 1:
-        spacing = 0.0
-    else:
-        spacing = (
-            3.0
-            * abs(composites.mass_asymmetry)
-            * field.magnitude
-            * constants.hbar
-            * n
-            / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
-        )
+    spacing = 0.0 if n == 1 else abs(_shift(n, 1, composites, field, constants))
     return SplittingTable(n=n, sublevels=tuple(subs), spacing=spacing)

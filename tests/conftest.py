@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from gravstark.constants import codata_defaults
 from gravstark.masses import codata_model, derive_composites, model_with_asymmetry
 from gravstark.separation import FieldSpec
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a Tier-1 run is deterministic; the first example at each n pays
+# the grid solves, which rules out a per-example deadline.
+settings.register_profile("gravstark", derandomize=True, database=None, deadline=None)
+settings.load_profile("gravstark")
 
 
 def pytest_addoption(parser):

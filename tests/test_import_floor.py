@@ -13,13 +13,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Subcommands that must finish without loading any scipy module;
-# `lifetime` at zero field takes the stable path and never reaches the WKB quadrature.
+# `lifetime` at zero field takes the stable path and never reaches the WKB quadrature;
+# the n = 1 oracle manifold is zero by parity and solves no radial grid.
 SCIPY_FREE_COMMANDS = {
     "constants": ["constants"],
     "separate": ["separate", "--mbar-e-ratio", "1.1"],
     "frame-diff": ["frame-diff", "--mbar-e-ratio", "1.1"],
     "frame-check": ["frame-check", "--time", "0.5", "--grid", "512", "--steps", "256"],
     "lifetime-stable": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "0"],
+    "split-n1": ["split", "--n", "1", "--mbar-e-ratio", "1.1", "--g", "9.8"],
 }
 
 PROBE = """

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from gravstark import oracle
 from gravstark.errors import EmptyWindowError, GridResolutionError
-from gravstark.masses import CompositeMasses
+from gravstark.masses import CompositeMasses, MassModel, derive_composites
 from gravstark.oracle import (
     RadialGrid,
     SphericalState,
@@ -17,7 +19,7 @@ from gravstark.oracle import (
     stabilization_scan,
     _solve_radial,
 )
-from gravstark.parabolic import splitting_table
+from gravstark.parabolic import enumerate_levels, first_order_shift, splitting_table
 from gravstark.separation import FieldSpec
 
 
@@ -245,6 +247,85 @@ def test_degenerate_pt_matches_closed_form(n, consts):
     assert [m for _, m in oracle] == [m for _, m in analytic]
     for (got, _), (want, _) in zip(oracle, analytic):
         assert abs(got - want) <= 1e-8 * scale
+
+
+def test_degenerate_pt_resolves_weak_coupling(consts):
+    # Shifts near 4e-42 Hartree: a grouping tolerance with an absolute floor
+    # of 1e-40 would merge all three into one group.
+    groups = degenerate_pt(2, _composites(1.0e-43), FieldSpec(magnitude=1.0e-6), consts)
+    assert [mult for _, mult in groups] == [1, 2, 1]
+
+
+@given(
+    n=st.integers(1, 4),
+    m_e=st.floats(0.5, 2.0),
+    m_p=st.floats(0.5, 2.0),
+    mbar_e=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    mbar_p=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    g=st.one_of(st.just(0.0), st.floats(-1.0, 3.0).map(lambda e: 10.0**e)),
+)
+def test_degenerate_pt_matches_closed_form_over_inputs(n, m_e, m_p, mbar_e, mbar_p, g, consts):
+    # Ratios multiply the CODATA masses, as the CLI's --*-ratio flags do.
+    model = MassModel(
+        m_e=m_e * consts.m_e_ref,
+        m_p=m_p * consts.m_p_ref,
+        mbar_e=mbar_e * consts.m_e_ref,
+        mbar_p=mbar_p * consts.m_p_ref,
+    )
+    comp = derive_composites(model)
+    field = FieldSpec(magnitude=g)
+    analytic = {}
+    for level in enumerate_levels(n):
+        analytic.setdefault(level.k, first_order_shift(level, comp, field, consts))
+    scale = max(abs(shift) for shift in analytic.values())
+    if scale == 0.0:
+        expected = [(0.0, n * n)]
+    else:
+        expected = sorted((shift, n - abs(k)) for k, shift in analytic.items())
+    oracle_groups = degenerate_pt(n, comp, field, consts)
+    assert [mult for _, mult in oracle_groups] == [mult for _, mult in expected]
+    for (got, _), (want, _) in zip(oracle_groups, expected):
+        assert abs(got - want) <= 1e-8 * scale
+
+
+@pytest.fixture
+def radial_solves(monkeypatch):
+    """Every ``_solve_radial`` call, made from an empty manifold cache."""
+    calls = []
+    solve = oracle._solve_radial
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    oracle._manifold_radial.cache_clear()
+    monkeypatch.setattr(oracle, "_solve_radial", counting)
+    yield calls
+    oracle._manifold_radial.cache_clear()
+
+
+def test_manifold_radial_cache_skips_repeat_solves(radial_solves, consts):
+    degenerate_pt(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
+    assert len(radial_solves) == 9   # three spacings times l = 0, 1, 2
+
+    # Masses and field are not part of the cache key.
+    radial_solves.clear()
+    other = CompositeMasses(
+        total_mass=2.0e-27,
+        reduced_mass=1.2e-30,
+        grav_total_mass=-1.0e-27,
+        mass_asymmetry=-2.4e-30,
+    )
+    cached = degenerate_pt(3, other, FieldSpec(magnitude=123.0), consts)
+    assert radial_solves == []
+
+    oracle._manifold_radial.cache_clear()
+    assert cached == degenerate_pt(3, other, FieldSpec(magnitude=123.0), consts)
+    assert len(radial_solves) == 9
+
+    radial_solves.clear()
+    assert degenerate_pt(1, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts) == [(0.0, 1)]
+    assert radial_solves == []
 
 
 # --- stabilization scan --------------------------------------------------------

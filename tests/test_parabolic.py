@@ -171,6 +171,15 @@ def test_doubling_field_doubles_spacing(consts):
     assert two.spacing == pytest.approx(2.0 * one.spacing, rel=1e-14)
 
 
+def test_tiny_asymmetry_does_not_underflow(consts, terrestrial_field):
+    # At g = 9.8 the product A g hbar underflows below about 1e-275 kg;
+    # the shifts must stay linear in A down there too.
+    tiny = splitting_table(2, _synthetic_composites(asymmetry=1.0e-293), terrestrial_field, consts)
+    base = splitting_table(2, _synthetic_composites(), terrestrial_field, consts)
+    assert 1.0e263 * tiny.spacing / base.spacing == pytest.approx(1.0, rel=1e-12)
+    assert 1.0e263 * tiny.sublevels[0].shift / base.sublevels[0].shift == pytest.approx(1.0, rel=1e-12)
+
+
 def test_sign_coherence(consts, terrestrial_field):
     # positive asymmetry times field: energy strictly decreasing in k
     comp = _synthetic_composites(asymmetry=2.0e-30)
