@@ -17,6 +17,7 @@ from .errors import (
     StabilityBoundError,
     StableAtomSignal,
     UndefinedRatioError,
+    UnrepresentableError,
 )
 from .frames import (
     AcceleratedHamiltonian,

@@ -49,5 +49,9 @@ class DomainEscapeError(GravstarkError):
     """A coordinate shift would move the state support off the grid."""
 
 
+class UnrepresentableError(GravstarkError):
+    """A result that the inputs define overflows or underflows a float."""
+
+
 class PropagationError(GravstarkError):
     """Propagation produced non-finite amplitudes."""

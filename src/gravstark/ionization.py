@@ -29,10 +29,11 @@ surfaces the ratio instead of folding it into either estimate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants, atomic_scale
-from .errors import NoBarrierError, QuadratureError, StableAtomSignal
+from .errors import NoBarrierError, QuadratureError, StableAtomSignal, UnrepresentableError
 from .masses import CompositeMasses
 from .separation import FieldSpec
 
@@ -48,6 +49,31 @@ GROUND_ENERGY = -0.5          # Hartree, unperturbed ground state
 EXP_OVERFLOW = 700.0          # beyond this the lifetime is reported in log10 only
 ORDER_UNITY_WINDOW = (0.1, 10.0)
 WKB_FORCE_CEILING = 1e-2      # atomic units; certified perturbative-barrier regime
+
+
+def _representable(name: str, value: float) -> float:
+    """``value`` if it is a finite normal float, else ``UnrepresentableError``.
+
+    Applied to products and quotients of nonzero inputs, where 0, a subnormal,
+    inf or nan means the float range was left and the digits are lost.
+    """
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        raise UnrepresentableError(f"{name} is {value!r}: outside the float range")
+    return value
+
+
+def _internal_force(composites: CompositeMasses, field: FieldSpec) -> float:
+    """|A| g in newtons.
+
+    Raises ``StableAtomSignal`` exactly when A = 0 or g = 0 in the inputs, and
+    ``UnrepresentableError`` when a nonzero |A| g leaves the float range.
+    """
+    if composites.mass_asymmetry == 0.0 or field.magnitude == 0.0:
+        raise StableAtomSignal(
+            "mass asymmetry times field vanishes: stationary states persist, "
+            "lifetime is infinite"
+        )
+    return _representable("internal force |A| g", abs(composites.mass_asymmetry) * field.magnitude)
 
 
 @dataclass(frozen=True)
@@ -91,20 +117,22 @@ def closed_form_lifetime(
 ) -> ResonanceEstimate:
     """Evaluate the closed-form ground-state lifetime.
 
-    Raises ``StableAtomSignal`` when the internal coupling vanishes: with no
-    residual force there is no decay channel and the lifetime is infinite.
-    The force magnitude |A| g enters both factors, so the sign of the
-    asymmetry is irrelevant.
+    Raises ``StableAtomSignal`` when A = 0 or g = 0: with no residual force
+    there is no decay channel and the lifetime is infinite.  A nonzero
+    coupling whose force, exponent or prefactor leaves the float range raises
+    ``UnrepresentableError``.  The force magnitude |A| g enters both factors,
+    so the sign of the asymmetry is irrelevant.
     """
-    force = abs(composites.mass_asymmetry) * field.magnitude
-    if force == 0.0:
-        raise StableAtomSignal(
-            "mass asymmetry times field vanishes: stationary states persist, "
-            "lifetime is infinite"
-        )
+    force = _internal_force(composites, field)
     m_e = constants.m_e_ref
-    exponent = m_e**2 * constants.c**3 * constants.alpha**3 / (force * constants.hbar)
-    prefactor = force * constants.hbar**2 / (4.0 * m_e**3 * constants.c**5 * constants.alpha**5)
+    action = _representable("|A| g hbar", force * constants.hbar)
+    exponent = _representable(
+        "closed-form exponent", m_e**2 * constants.c**3 * constants.alpha**3 / action
+    )
+    prefactor = _representable(
+        "lifetime prefactor",
+        force * constants.hbar**2 / (4.0 * m_e**3 * constants.c**5 * constants.alpha**5),
+    )
     log10_tau = math.log10(prefactor) + exponent / math.log(10.0)
     tau = prefactor * math.exp(exponent) if exponent <= EXP_OVERFLOW else math.inf
     return ResonanceEstimate(
@@ -158,19 +186,22 @@ def wkb_rate(
 
     The certified regime is an internal force of at most ``WKB_FORCE_CEILING``
     atomic units; weaker forces are handled on a best-effort basis (the
-    substitution keeps the quadrature well conditioned down to arbitrarily
-    small forces).  Stronger forces suppress the barrier and raise
-    ``NoBarrierError`` once the turning points merge.
+    substitution keeps the quadrature well conditioned for as long as the
+    squared barrier width, about 4/F**2, is a float: down to F of about
+    1e-154).  Stronger forces suppress the barrier and raise
+    ``NoBarrierError`` once the turning points merge.  A force, barrier or
+    exponent outside the float range raises ``UnrepresentableError``.
     """
-    force_si = abs(composites.mass_asymmetry) * field.magnitude
-    if force_si == 0.0:
-        raise StableAtomSignal("no internal force: nothing tunnels")
+    force_si = _internal_force(composites, field)
     if softening < 0.0:
         raise ValueError("softening must be non-negative")
     scale = atomic_scale(constants, composites.reduced_mass)
-    force = force_si / scale.force_atomic
+    force = _representable("internal force in atomic units", force_si / scale.force_atomic)
     inner, outer = _barrier_turning_points(force, softening)
     width = outer - inner
+    # The integrand below carries width**2; past the float range quad would
+    # only return nan.
+    _representable("squared barrier width", width * width)
 
     if softening == 0.0:
         # Exact factorization V - E = (F/x)(x - inner)(outer - x) removes the
@@ -191,7 +222,7 @@ def wkb_rate(
     # Imported here: scipy.integrate is slow to import and only this path needs it.
     from scipy.integrate import quad
     value, estimate = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-10, limit=200)
-    exponent = 2.0 * value
+    exponent = _representable("WKB exponent", 2.0 * value)
     if estimate > 1e-8 * abs(value) + 1e-300:
         raise QuadratureError(
             f"barrier integral error estimate {estimate:.3e} too large"
@@ -210,8 +241,9 @@ def compare_lifetimes(
 ) -> LifetimeComparison:
     """Closed-form and WKB exponents side by side, with their ratio flagged.
 
-    A vanishing internal coupling short-circuits into a stable report; no
-    comparison is attempted.
+    A = 0 or g = 0 short-circuits into a stable report; no comparison is
+    attempted.  A nonzero coupling too weak or too strong for floats raises
+    ``UnrepresentableError`` rather than reporting stable.
     """
     try:
         closed = closed_form_lifetime(composites, field, constants)
@@ -225,7 +257,7 @@ def compare_lifetimes(
     _, exponent = wkb_rate(composites, field, constants, softening=softening)
     attempt_rate_si = (abs(GROUND_ENERGY) / math.pi) / scale.time_atomic
     log10_tau_wkb = exponent / math.log(10.0) - math.log10(attempt_rate_si)
-    ratio = exponent / closed.closed_form_exponent
+    ratio = _representable("exponent ratio", exponent / closed.closed_form_exponent)
     return LifetimeComparison(
         stable=False,
         mass_asymmetry=composites.mass_asymmetry,

@@ -12,9 +12,11 @@ the sublevel at k carrying n - |k| states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants
+from .errors import UnrepresentableError
 from .masses import CompositeMasses
 from .separation import FieldSpec
 
@@ -102,7 +104,10 @@ def enumerate_levels(n: int) -> list[ParabolicLevel]:
 def unperturbed_energy(n: int, composites: CompositeMasses, constants: PhysicalConstants) -> float:
     """Field-free level energy -mu c^2 alpha^2 / (2 n^2) in joules."""
     _check_n(n)
-    return -composites.reduced_mass * constants.c**2 * constants.alpha**2 / (2.0 * n * n)
+    energy = -composites.reduced_mass * constants.c**2 * constants.alpha**2 / (2.0 * n * n)
+    if not math.isfinite(energy):
+        raise UnrepresentableError(f"unperturbed energy at n = {n} is {energy!r} J")
+    return energy
 
 
 def _shift(
@@ -112,19 +117,27 @@ def _shift(
     field: FieldSpec,
     constants: PhysicalConstants,
 ) -> float:
-    # Below 2**-800 kg the product A g hbar would underflow, so A is carried
-    # scaled by an exact power of two; that changes no bit of a normal-range
-    # result.  Adding 0.0 turns -0.0 into 0.0 and leaves every other value unchanged.
-    scale = 2.0**800 if abs(composites.mass_asymmetry) < 2.0**-800 else 1.0
-    return (
-        -3.0
-        * (composites.mass_asymmetry * scale)
-        * field.magnitude
-        * constants.hbar
-        * n
-        * k
+    # Below |A| g = 2**-800 the product A g hbar would underflow, so the smaller
+    # factor is carried times 2**800 and the one final division takes that back
+    # out; that changes no bit of a normal-range result.  Adding 0.0 turns -0.0
+    # into 0.0 and leaves every other value unchanged.
+    a, g = composites.mass_asymmetry, field.magnitude
+    scale = 1.0
+    if abs(a) * g < 2.0**-800:
+        scale = 2.0**800
+        if abs(a) < g:
+            a *= scale
+        else:
+            g *= scale
+    shift = (
+        -3.0 * a * g * constants.hbar * n * k
         / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
     ) / scale + 0.0
+    if math.isfinite(shift) and (shift != 0.0 or a == 0.0 or g == 0.0 or k == 0):
+        return shift
+    raise UnrepresentableError(
+        f"first-order shift at n = {n}, k = {k} is {shift!r} J: A g is outside the float range"
+    )
 
 
 def first_order_shift(

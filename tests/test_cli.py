@@ -227,3 +227,34 @@ def test_oracle_grouping_mismatch_exits_3(monkeypatch, capsys):
     code = run(["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--per-state"]], ids=["sublevels", "per-state"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ["--mbar-e-ratio", "1e300", "--g", "1e300"],
+        ["--mbar-e-ratio", "1.1", "--g", "1e-300"],
+        ["--m-e", "1e300", "--m-p", "1e300", "--g", "0"],
+    ],
+    ids=["shift-overflow", "shift-underflow", "energy-overflow"],
+)
+def test_unrepresentable_split_exits_3(config, extra, capsys):
+    code = run(["split", "--n", "2", *config, "--no-oracle", *extra])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("g", ["1e-300", "1e-280", "1e-250", "1e-200"])
+def test_unrepresentable_lifetime_exits_3(g, tmp_path, capsys):
+    # A nonzero coupling is never reported stable, however weak.
+    code = run(["lifetime", "--mbar-e-ratio", "1.1", "--g", g, "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+    out = invoke(["lifetime", "--mbar-e-ratio", "1.1", "--g", "0", "--format", "json"], tmp_path)
+    assert json.loads(out)["stable"] is True

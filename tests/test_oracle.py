@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from gravstark import oracle
-from gravstark.errors import EmptyWindowError, GridResolutionError
+from gravstark.errors import EigensolverError, EmptyWindowError, GridResolutionError
 from gravstark.masses import CompositeMasses, MassModel, derive_composites
 from gravstark.oracle import (
     RadialGrid,
@@ -81,6 +81,33 @@ def test_states_are_normalized():
     for _, state in pairs:
         norm = np.trapezoid(state.radial_samples**2 * r**2, dx=grid.spacing)
         assert norm == pytest.approx(1.0, abs=1e-10)
+
+
+def test_residual_certificate_rejects_perturbed_eigenvector(monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def perturbed(*args, **kwargs):
+        energies, vectors = solve(*args, **kwargs)
+        vectors[100, 2] += 1e-6
+        return energies, vectors
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    with pytest.raises(EigensolverError, match="residual"):
+        _solve_radial(0.005, 160.0, 0, 4)
+
+
+def test_radial_solve_makes_no_numpy_norm_call(monkeypatch):
+    # np.linalg.norm runs numpy's threaded BLAS, which contends with scipy's.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    energies, _, _ = _solve_radial(0.005, 160.0, 0, 4)
+    assert energies[0] == pytest.approx(bohr_energy(1), rel=1e-4)
+    pairs = radial_eigensolve(RadialGrid.from_spacing(0.01, 80.0), 0, 3)
+    assert [state.n for _, state in pairs] == [1, 2, 3]
 
 
 def test_energies_decrease_with_resolution():

@@ -180,6 +180,14 @@ def test_tiny_asymmetry_does_not_underflow(consts, terrestrial_field):
     assert 1.0e263 * tiny.sublevels[0].shift / base.sublevels[0].shift == pytest.approx(1.0, rel=1e-12)
 
 
+def test_tiny_field_does_not_underflow(consts):
+    # At A = 1e-30 kg the product A g hbar underflows for g below about 7e-245;
+    # the shifts must stay linear in g down there too.
+    tiny = splitting_table(2, _synthetic_composites(), FieldSpec(magnitude=1.0e-270), consts)
+    base = splitting_table(2, _synthetic_composites(), FieldSpec(magnitude=1.0), consts)
+    assert 1.0e270 * tiny.spacing / base.spacing == pytest.approx(1.0, rel=1e-12)
+
+
 def test_sign_coherence(consts, terrestrial_field):
     # positive asymmetry times field: energy strictly decreasing in k
     comp = _synthetic_composites(asymmetry=2.0e-30)
