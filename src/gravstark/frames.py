@@ -26,9 +26,9 @@ from .masses import MassModel, derive_composites
 from .wavepacket import (
     PropagationSpec,
     Wavefunction1D,
+    _evolve,
     fidelity,
     gaussian_packet,
-    propagate,
 )
 
 __all__ = [
@@ -198,10 +198,6 @@ class FrameCheckResult:
     steps: int
 
 
-def _free_potential(x: np.ndarray, t: float) -> np.ndarray:
-    return np.zeros_like(x)
-
-
 def frame_equivalence_check(
     acceleration: float = 1.0,
     total_time: float = 1.0,
@@ -219,27 +215,30 @@ def frame_equivalence_check(
 
     Path A propagates freely in the inertial frame and transforms at the final
     time; path B transforms the initial data (the identity at t = 0) and
-    propagates under the accelerated-frame potential m a x'.  Exact frame
-    equivalence means the two paths agree.
+    propagates under the static accelerated-frame potential m a x'.  Exact
+    frame equivalence means the two paths agree.  Both paths share mass, dt,
+    hbar and grid, so they step together as one two-row batch.
+
+    A run too large for its grid fails with ``BoundaryEscapeError`` when either
+    path reaches the grid edge while stepping, or with ``DomainEscapeError``
+    when the final frame shift of path A would carry its support off the grid.
     """
     trajectory = FrameTrajectory(acceleration=(0.0, 0.0, float(acceleration)))
     initial = gaussian_packet(
         x_min, x_max, grid_points, center=center, sigma=sigma, momentum=momentum
     )
-    dt = total_time / steps
-
-    inertial = propagate(
-        initial, PropagationSpec(potential=_free_potential, mass=mass, dt=dt, steps=steps, hbar=hbar)
+    spec = PropagationSpec(
+        potential=mass * acceleration * initial.grid(),
+        mass=mass,
+        dt=total_time / steps,
+        steps=steps,
+        hbar=hbar,
+    )
+    inertial, path_b = (
+        Wavefunction1D(samples=row, x_min=x_min, x_max=x_max, point_count=grid_points)
+        for row in _evolve(initial, [None, spec.potential], spec)
     )
     path_a = transform_wavefunction(inertial, trajectory, mass, total_time, hbar=hbar)
-
-    def accelerated_potential(x: np.ndarray, t: float) -> np.ndarray:
-        return mass * acceleration * x
-
-    path_b = propagate(
-        initial,
-        PropagationSpec(potential=accelerated_potential, mass=mass, dt=dt, steps=steps, hbar=hbar),
-    )
     err = float(np.max(np.abs(path_a.samples - path_b.samples)))
     return FrameCheckResult(
         fidelity=fidelity(path_a, path_b),

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import PhysicalConstants, atomic_scale, codata_defaults
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, UnrepresentableError
 from .masses import MassModel, derive_composites
 
 __all__ = [
@@ -59,15 +59,21 @@ class SeparatedHamiltonian:
 
 
 def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamiltonian:
-    """Coefficient set of the separated equations for ``model`` in ``field``."""
+    """Coefficient set of the separated equations for ``model`` in ``field``.
+
+    Raises ``UnrepresentableError`` when a mass or coupling overflows a float.
+    """
     comp = derive_composites(model)
-    return SeparatedHamiltonian(
-        cm_kinetic_mass=comp.total_mass,
-        cm_coupling=comp.grav_total_mass * field.magnitude,
-        internal_kinetic_mass=comp.reduced_mass,
-        internal_coupling=comp.mass_asymmetry * field.magnitude,
-        coulomb_present=True,
-    )
+    coefficients = {
+        "cm_kinetic_mass": comp.total_mass,
+        "cm_coupling": comp.grav_total_mass * field.magnitude,
+        "internal_kinetic_mass": comp.reduced_mass,
+        "internal_coupling": comp.mass_asymmetry * field.magnitude,
+    }
+    for name, value in coefficients.items():
+        if not math.isfinite(value):
+            raise UnrepresentableError(f"{name} is {value!r}")
+    return SeparatedHamiltonian(**coefficients, coulomb_present=True)
 
 
 def _default_cm(R: np.ndarray) -> np.ndarray:

@@ -4,18 +4,19 @@ Strang splitting per step,
 
     exp(-i V dt / 2 hbar) exp(-i T dt / hbar) exp(-i V dt / 2 hbar),
 
-with the kinetic factor applied in momentum space on a periodic grid.  The
-potential is sampled at the midpoint of each step, which keeps second-order
-accuracy for time-dependent potentials.  The grid must be a power of two and
-sized so the wavepacket support stays at least eight grid spacings away from
-the boundary; this is asserted while propagating.
+with the kinetic factor applied in momentum space on a periodic grid.  A
+static potential (an array on the grid) has its half-step factor built once
+per run; a callable potential is time-dependent and is sampled at the
+midpoint of each step, which keeps second-order accuracy.  The grid must be
+a power of two and sized so the wavepacket support stays at least eight grid
+spacings away from the boundary; this is asserted while propagating.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +38,8 @@ __all__ = [
 BOUNDARY_CELLS = 8
 BOUNDARY_REL_TOL = 1e-9
 CHECK_INTERVAL = 64
+
+Potential = Union[Callable[[np.ndarray, float], np.ndarray], np.ndarray]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -95,17 +98,18 @@ def gaussian_packet(
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationSpec:
     """Potential, mass, and stepping of one propagation run.
 
-    ``potential(x, t)`` must be evaluable on the whole grid at every midpoint
-    time.  ``dt`` may be negative (backward propagation); the spectral
-    stability bound |dt| E_kin_max / hbar < pi is enforced when propagation
-    starts.
+    ``potential`` is either a static array of values on the grid, whose
+    half-step factor is built once, or a callable ``potential(x, t)`` that
+    must be evaluable on the whole grid at every midpoint time.  ``dt`` may
+    be negative (backward propagation); the spectral stability bound
+    |dt| E_kin_max / hbar < pi is enforced when propagation starts.
     """
 
-    potential: Callable[[np.ndarray, float], np.ndarray]
+    potential: Potential
     mass: float
     dt: float
     steps: int
@@ -136,8 +140,30 @@ def _check_health(psi: np.ndarray, step: int) -> None:
         )
 
 
-def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
-    """Evolve ``state`` through ``spec.steps`` Strang-split steps."""
+def _half_factor(v, dt: float, hbar: float) -> np.ndarray:
+    return np.exp(-0.5j * np.asarray(v, dtype=float) * dt / hbar)
+
+
+def _static_half_factor(
+    potential: Potential | None, x: np.ndarray, spec: PropagationSpec
+) -> np.ndarray | None:
+    """Half-step factor of a static potential array; None for a free row or a callable."""
+    if potential is None or callable(potential):
+        return None
+    if np.shape(potential) != x.shape:
+        raise ValueError("a static potential must hold one value per grid point")
+    return _half_factor(potential, spec.dt, spec.hbar)
+
+
+def _evolve(
+    state: Wavefunction1D, potentials: Sequence[Potential | None], spec: PropagationSpec
+) -> np.ndarray:
+    """Step one copy of ``state`` per entry of ``potentials`` as a (B, N) batch.
+
+    Row i feels ``potentials[i]`` (``None`` for a free row); mass, dt, steps,
+    hbar and t0 come from ``spec`` and are shared, so one kinetic factor and
+    one FFT pair per step serve every row.  Each row is health-checked.
+    """
     dx = state.dx
     x = state.grid()
     k = 2.0 * math.pi * np.fft.fftfreq(state.point_count, d=dx)
@@ -148,17 +174,34 @@ def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
             "shrink dt or coarsen the grid"
         )
     kinetic = np.exp(-1j * spec.hbar * k**2 * spec.dt / (2.0 * spec.mass))
+    fixed = [_static_half_factor(p, x, spec) for p in potentials]
 
-    psi = state.samples.copy()
+    psi = np.repeat(state.samples[np.newaxis], len(potentials), axis=0)
+    spectrum = np.empty_like(psi)
     for step in range(spec.steps):
         t_mid = spec.t0 + (step + 0.5) * spec.dt
-        v = np.asarray(spec.potential(x, t_mid), dtype=float)
-        half = np.exp(-0.5j * v * spec.dt / spec.hbar)
-        psi *= half
-        psi = np.fft.ifft(np.fft.fft(psi) * kinetic)
-        psi *= half
+        halves = [
+            _half_factor(p(x, t_mid), spec.dt, spec.hbar) if callable(p) else half
+            for p, half in zip(potentials, fixed)
+        ]
+        for row, half in zip(psi, halves):
+            if half is not None:
+                row *= half
+        np.fft.fft(psi, out=spectrum)
+        spectrum *= kinetic
+        np.fft.ifft(spectrum, out=psi)
+        for row, half in zip(psi, halves):
+            if half is not None:
+                row *= half
         if step % CHECK_INTERVAL == CHECK_INTERVAL - 1 or step == spec.steps - 1:
-            _check_health(psi, step)
+            for row in psi:
+                _check_health(row, step)
+    return psi
+
+
+def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
+    """Evolve ``state`` through ``spec.steps`` Strang-split steps."""
+    (psi,) = _evolve(state, [spec.potential], spec)
     return Wavefunction1D(
         samples=psi, x_min=state.x_min, x_max=state.x_max, point_count=state.point_count
     )

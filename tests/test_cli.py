@@ -258,3 +258,31 @@ def test_unrepresentable_lifetime_exits_3(g, tmp_path, capsys):
 
     out = invoke(["lifetime", "--mbar-e-ratio", "1.1", "--g", "0", "--format", "json"], tmp_path)
     assert json.loads(out)["stable"] is True
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ["--mbar-e", "1e300", "--mbar-p", "1e300", "--g", "1e300"],
+        ["--m-e", "1e308", "--m-p", "1e308"],
+    ],
+    ids=["coupling-overflow", "mass-overflow"],
+)
+def test_unrepresentable_separate_exits_3(config, capsys):
+    code = run(["separate", *config, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_frame_check_escape_exits_3(capsys):
+    # the accelerated path is pushed 25 units across a 48-unit grid
+    code = run(["frame-check", "--a", "50", "--time", "1", "--grid", "512", "--steps", "256"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

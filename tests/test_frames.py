@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravstark.errors import DomainEscapeError, UndefinedRatioError
 from gravstark.frames import (
@@ -155,6 +156,19 @@ def test_frame_equivalence_fidelity():
     assert result.max_pointwise_error < 1e-6
 
 
+@settings(max_examples=12)
+@given(
+    magnitude=st.floats(0.2, 2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    total_time=st.floats(0.25, 1.0),
+)
+def test_frame_check_fidelity_in_unit_interval(magnitude, sign, total_time):
+    result = frame_equivalence_check(
+        acceleration=sign * magnitude, total_time=total_time, grid_points=512, steps=256
+    )
+    assert 1.0 - 1e-6 <= result.fidelity <= 1.0
+
+
 def test_transform_then_propagate_equals_propagate_then_transform():
     # the same consistency as frame_equivalence_check, via public pieces
     from gravstark.wavepacket import PropagationSpec, propagate
@@ -174,3 +188,10 @@ def test_transform_then_propagate_equals_propagate_then_transform():
         PropagationSpec(potential=lambda x, t: mass * accel * x, mass=mass, dt=dt, steps=2048),
     )
     assert fidelity(path_a, path_b) >= 1.0 - 1e-6
+    # the batched check steps both paths bit for bit as two separate runs do
+    result = frame_equivalence_check(
+        acceleration=accel, total_time=total_time, grid_points=1024, steps=2048,
+        mass=mass, center=1.0,
+    )
+    assert result.fidelity == fidelity(path_a, path_b)
+    assert result.max_pointwise_error == float(np.max(np.abs(path_a.samples - path_b.samples)))

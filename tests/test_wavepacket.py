@@ -10,6 +10,7 @@ from gravstark.wavepacket import (
     fidelity,
     gaussian_packet,
     mean_momentum,
+    _evolve,
     propagate,
 )
 
@@ -139,6 +140,33 @@ def test_time_dependent_potential_midpoint():
         PropagationSpec(potential=lambda x, t: -t * x, mass=1.0, dt=1.0 / 2048, steps=2048),
     )
     assert mean_momentum(out) == pytest.approx(0.5, rel=1e-6)
+
+
+def test_static_potential_matches_callable():
+    state = gaussian_packet(-24.0, 24.0, 512, center=1.0, sigma=1.0, momentum=0.5)
+    v = 0.3 * state.grid() ** 2 - 0.7 * state.grid()
+    for dt in (1e-3, -2e-3):
+        static = propagate(state, PropagationSpec(potential=v, mass=1.3, dt=dt, steps=300))
+        sampled = propagate(
+            state, PropagationSpec(potential=lambda x, t: v, mass=1.3, dt=dt, steps=300)
+        )
+        assert static.samples.tobytes() == sampled.samples.tobytes()
+
+
+def test_static_potential_shape_checked():
+    state = gaussian_packet(-16.0, 16.0, 256, sigma=1.0)
+    with pytest.raises(ValueError):
+        propagate(state, PropagationSpec(potential=np.zeros(512), mass=1.0, dt=1e-3, steps=1))
+
+
+def test_every_batch_row_is_health_checked():
+    # the free row stays put; only the pushed row reaches the edge
+    state = gaussian_packet(-24.0, 24.0, 512, center=0.0, sigma=1.0)
+    spec = PropagationSpec(potential=-40.0 * state.grid(), mass=1.0, dt=2e-3, steps=640)
+    with pytest.raises(BoundaryEscapeError):
+        _evolve(state, [None, spec.potential], spec)
+    free = PropagationSpec(potential=zero_potential, mass=1.0, dt=2e-3, steps=640)
+    assert propagate(state, free).norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_non_finite_potential_aborts():
