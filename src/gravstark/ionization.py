@@ -191,6 +191,12 @@ def wkb_rate(
     1e-154).  Stronger forces suppress the barrier and raise
     ``NoBarrierError`` once the turning points merge.  A force, barrier or
     exponent outside the float range raises ``UnrepresentableError``.
+
+    The rate underflows: once the exponent reaches 745, ``exp(-exponent)`` is
+    below the smallest float and the rate returned is exactly 0.0, as it is
+    for every realistic field (the exponent is about 6e21 at g = 9.8 m/s^2).
+    Every caller in the package uses only the exponent; lifetimes are
+    reported in log space by ``compare_lifetimes``.
     """
     force_si = _internal_force(composites, field)
     if softening < 0.0:

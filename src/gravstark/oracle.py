@@ -19,6 +19,13 @@ continuum character by diagonalizing a half-axis model with a hard wall at
 increasing box sizes: continuum level spacings shrink towards 1/sqrt(L), as the
 semiclassical density of states (the integral of dx/p) grows like sqrt(L);
 bound levels converge.
+
+The scan's values are those of one value-mode bisection over the window
+widened by 0.6 Hartree on each side, yet it solves only the tree nodes of that
+bisection next to the window centre.  Bisection halves each interval at its
+float midpoint and stops at a width fixed by the Gershgorin bound and the
+interval's own end points, not by the search window, so a solve started on a
+tree node returns exactly the whole-window solve's floats inside it.
 """
 
 from __future__ import annotations
@@ -53,6 +60,8 @@ __all__ = [
 RESIDUAL_CERTIFICATE = 1e-10   # per eigenpair, relative to a norm bound of H
 DISCRETIZATION_GATE = 1e-5     # Hartree, estimated truncation error per level
 GROUPING_REL_TOL = 1e-10       # relative tolerance for merging equal shifts
+_SCAN_MARGIN = 0.6             # Hartree searched beyond each side of a scan window
+_SCAN_START_DEPTH = 8          # bisection-tree level of a scan's first, narrowest solves
 
 
 @dataclass(frozen=True)
@@ -364,6 +373,87 @@ class ScanPoint:
     level_spacing: float
 
 
+def _tree_nodes(root: tuple[float, float], center: float, depth: int) -> list[tuple[float, float]]:
+    """Ascending nodes (a, b] at ``depth`` of the midpoint bisection tree over
+    ``root`` that meet center +- half a node width (the root itself at depth 0)."""
+    reach = (root[1] - root[0]) / 2.0 ** (depth + 1)
+    nodes = [root]
+    for _ in range(depth):
+        children = []
+        for a, b in nodes:
+            mid = 0.5 * (a + b)
+            children += [
+                (left, right) for left, right in ((a, mid), (mid, b))
+                if left < center + reach and right > center - reach
+            ]
+        nodes = children
+    return nodes
+
+
+def _start_depth(diag: np.ndarray, off: np.ndarray, root: tuple[float, float]) -> int:
+    """``_SCAN_START_DEPTH``, or 0 when tree nodes might not reproduce the root solve.
+
+    The root solve bisects from the window itself only when the window lies
+    inside the Gershgorin interval (LAPACK clips it to that interval), and a
+    node is solved as in the root call only while it is wider than the
+    stopping width.  ``slack`` bounds that width and LAPACK's Gershgorin fudge.
+    """
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    low = float(np.min(diag - radius))
+    high = float(np.max(diag + radius))
+    slack = 8.0 * diag.size * np.finfo(float).eps * max(abs(low), abs(high))
+    width = (root[1] - root[0]) / 2.0**_SCAN_START_DEPTH
+    if low + slack < root[0] and root[1] < high - slack and width > slack:
+        return _SCAN_START_DEPTH
+    return 0
+
+
+def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: float):
+    """(energy, level spacing) of the eigenvalue nearest the window centre.
+
+    Solves the tree nodes next to the centre and widens (one tree level up,
+    twice the reach) until they settle the answer; the root is the whole
+    search window (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN].
+    """
+    # Imported here: scipy.linalg is slow to import and only the grid solves need it.
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    center = 0.5 * (lo + hi)
+    root = (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN)
+    depth = _start_depth(diag, off, root)
+    while True:
+        nodes = _tree_nodes(root, center, depth)
+        values = np.concatenate([
+            eigvalsh_tridiagonal(diag, off, select="v", select_range=node) for node in nodes
+        ])
+        if depth == 0:
+            if not np.any((values >= lo) & (values <= hi)):
+                raise EmptyWindowError(f"no eigenvalue in [{lo}, {hi}] for box size {box}")
+            if values.size < 2:
+                raise EmptyWindowError(
+                    f"no neighboring eigenvalue around the window for box size {box}"
+                )
+        if values.size >= 2:
+            nearest = int(np.argmin(np.abs(values - center)))
+            energy = float(values[nearest])
+            has_upper = nearest + 1 < values.size
+            reaches_top = nodes[-1][1] == root[1]
+            # Every unsolved value lies at least this far from the centre; a
+            # nearest value outside [lo, hi] leaves the empty check to the root.
+            clearance = min(
+                math.inf if nodes[0][0] == root[0] else center - nodes[0][0],
+                math.inf if reaches_top else nodes[-1][1] - center,
+            )
+            settled = lo <= energy <= hi and abs(energy - center) < clearance
+            if depth == 0 or (settled and (has_upper or reaches_top)):
+                if has_upper:
+                    return energy, float(values[nearest + 1] - values[nearest])
+                return energy, float(values[nearest] - values[nearest - 1])
+        depth -= 1
+
+
 def stabilization_scan(
     box_sizes,
     field_force: float,
@@ -376,43 +466,42 @@ def stabilization_scan(
     with the local level spacing around it.  With F > 0 the spacing in the
     downhill continuum shrinks between 1/L and the linear-potential limit
     1/sqrt(L); with F = 0 a bound level in the window converges as the box grows.
+
+    The values are those of one value-mode bisection (LAPACK ``stebz``) over
+    (lo - 0.6, hi + 0.6], whose search window never sets where an interval is
+    split or where it stops, so a solve over one node of its bisection tree
+    returns the same floats there.  The nodes next to the centre are solved
+    first and settle the answer when no unsolved value can be nearer and the
+    neighbour was solved too; otherwise the search climbs one tree level, up
+    to the whole window.  Digits and errors are those of the whole-window solve.
     """
     sizes = [float(b) for b in box_sizes]
     if len(sizes) < 3:
         raise ValueError("need at least three box sizes")
+    if not all(math.isfinite(b) for b in sizes):
+        raise ValueError("box sizes must be finite")
     if any(b2 <= b1 for b1, b2 in zip(sizes, sizes[1:])):
         raise ValueError("box sizes must be strictly increasing (no duplicates)")
-    if field_force < 0.0:
-        raise ValueError("field force must be non-negative")
+    if not 0.0 <= field_force < math.inf:
+        raise ValueError("field force must be finite and non-negative")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError("grid spacing must be positive and finite")
     lo, hi = float(state_energy_window[0]), float(state_energy_window[1])
-    if not lo < hi:
-        raise ValueError("energy window must have lo < hi")
-    center = 0.5 * (lo + hi)
-    # Imported here: scipy.linalg is slow to import and only the grid solves need it.
-    from scipy.linalg import eigvalsh_tridiagonal
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("energy window must be finite with lo < hi")
+    if not math.isfinite(sizes[-1] / spacing):
+        raise ValueError(f"grid spacing {spacing} is too fine for box size {sizes[-1]}")
+    counts = [round(box / spacing) for box in sizes]
+    if counts[0] < 3:
+        raise ValueError(
+            f"box size {sizes[0]} holds fewer than 3 grid points at spacing {spacing}"
+        )
 
     out = []
-    for box in sizes:
-        count = round(box / spacing)
+    for box, count in zip(sizes, counts):
         x = spacing * np.arange(1, count)
         diag = 1.0 / spacing**2 - 1.0 / x - field_force * x
         off = np.full(count - 2, -0.5 / spacing**2)
-        values = eigvalsh_tridiagonal(
-            diag, off, select="v", select_range=(lo - 0.6, hi + 0.6)
-        )
-        inside = values[(values >= lo) & (values <= hi)]
-        if inside.size == 0:
-            raise EmptyWindowError(
-                f"no eigenvalue in [{lo}, {hi}] for box size {box}"
-            )
-        if values.size < 2:
-            raise EmptyWindowError(
-                f"no neighboring eigenvalue around the window for box size {box}"
-            )
-        nearest = int(np.argmin(np.abs(values - center)))
-        if nearest + 1 < values.size:
-            gap = float(values[nearest + 1] - values[nearest])
-        else:
-            gap = float(values[nearest] - values[nearest - 1])
-        out.append(ScanPoint(box_size=box, energy=float(values[nearest]), level_spacing=gap))
+        energy, gap = _scan_box(diag, off, box, lo, hi)
+        out.append(ScanPoint(box_size=box, energy=energy, level_spacing=gap))
     return out

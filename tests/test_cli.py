@@ -286,3 +286,26 @@ def test_frame_check_escape_exits_3(capsys):
     assert captured.err.startswith("numerical failure: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--spacing", "0"],
+        ["--spacing", "-0.05"],
+        ["--spacing", "100"],
+        ["--boxes", "50,100,inf"],
+        ["--boxes", "50,100,nan"],
+        ["--boxes", "0.01,0.02,0.03"],
+        ["--f-atomic", "inf"],
+        ["--window", "-0.02", "inf"],
+    ],
+)
+def test_unusable_stability_grid_exits_2(flags, capsys):
+    code = run(["stability", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -195,3 +195,11 @@ def test_weak_force_lifetimes_exceed_bound(consts, electron_asymmetry):
     report = compare_lifetimes(electron_asymmetry, field, consts)
     assert report.log10_tau_closed_form > 1e5
     assert report.log10_tau_wkb > 1e5
+
+
+def test_wkb_rate_underflows_to_zero(consts, electron_asymmetry):
+    # The lifetime.json configuration: only the exponent survives exp's range.
+    assert wkb_rate(electron_asymmetry, FieldSpec(magnitude=9.8), consts) == (
+        0.0,
+        6.145831905463709e21,
+    )

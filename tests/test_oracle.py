@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gravstark import oracle
@@ -374,8 +374,13 @@ def test_continuum_spacing_shrinks_like_inverse_box():
 
 
 def test_empty_window_rejected():
-    with pytest.raises(EmptyWindowError):
+    with pytest.raises(EmptyWindowError) as info:
         stabilization_scan([50.0, 100.0, 200.0], 0.0, (-0.45, -0.2))
+    assert str(info.value) == "no eigenvalue in [-0.45, -0.2] for box size 50.0"
+    # A window whose search range holds one level and no neighbour.
+    with pytest.raises(EmptyWindowError) as info:
+        stabilization_scan([30.0, 31.0, 32.0], 0.0, (40.14, 40.16), spacing=0.1)
+    assert str(info.value) == "no neighboring eigenvalue around the window for box size 30.0"
 
 
 def test_degenerate_boxes_rejected():
@@ -383,3 +388,123 @@ def test_degenerate_boxes_rejected():
         stabilization_scan([50.0, 50.0, 100.0], 0.0, (-0.51, -0.49))
     with pytest.raises(ValueError):
         stabilization_scan([50.0, 100.0], 0.0, (-0.51, -0.49))
+
+
+@pytest.mark.parametrize(
+    "boxes, force, window, spacing",
+    [
+        ([50.0, 100.0, 200.0], 1e-3, (-0.02, 0.02), 0.0),
+        ([50.0, 100.0, 200.0], 1e-3, (-0.02, 0.02), -0.05),
+        ([50.0, 100.0, 200.0], 1e-3, (-0.02, 0.02), math.nan),
+        ([50.0, 100.0, 200.0], 1e-3, (-0.02, 0.02), 100.0),
+        ([50.0, 100.0, 200.0], 1e-3, (-0.02, 0.02), 1e-320),
+        ([0.01, 0.02, 0.03], 1e-3, (-0.02, 0.02), 0.05),
+        ([50.0, 100.0, math.inf], 1e-3, (-0.02, 0.02), 0.05),
+        ([50.0, 100.0, math.nan], 1e-3, (-0.02, 0.02), 0.05),
+        ([50.0, 100.0, 200.0], math.inf, (-0.02, 0.02), 0.05),
+        ([50.0, 100.0, 200.0], math.nan, (-0.02, 0.02), 0.05),
+        ([50.0, 100.0, 200.0], 1e-3, (-0.02, math.inf), 0.05),
+    ],
+)
+def test_scan_rejects_unusable_grids(boxes, force, window, spacing):
+    with pytest.raises(ValueError):
+        stabilization_scan(boxes, force, window, spacing=spacing)
+
+
+def _full_window_values(box, force, window, spacing):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    count = round(box / spacing)
+    x = spacing * np.arange(1, count)
+    diag = 1.0 / spacing**2 - 1.0 / x - force * x
+    off = np.full(count - 2, -0.5 / spacing**2)
+    root = (window[0] - 0.6, window[1] + 0.6)
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=root)
+
+
+def _full_window_scan(boxes, force, window, spacing):
+    """The scan as one whole-window solve per box: the bit-identity reference."""
+    lo, hi = window
+    center = 0.5 * (lo + hi)
+    out = []
+    for box in map(float, boxes):
+        values = _full_window_values(box, force, window, spacing)
+        if not np.any((values >= lo) & (values <= hi)):
+            return f"no eigenvalue in [{lo}, {hi}] for box size {box}"
+        if values.size < 2:
+            return f"no neighboring eigenvalue around the window for box size {box}"
+        k = int(np.argmin(np.abs(values - center)))
+        gap = values[k + 1] - values[k] if k + 1 < values.size else values[k] - values[k - 1]
+        out.append((float(values[k]), float(gap)))
+    return repr(out)
+
+
+def _scan_outcome(boxes, force, window, spacing):
+    try:
+        points = stabilization_scan(boxes, force, window, spacing=spacing)
+    except EmptyWindowError as exc:
+        return str(exc)
+    return repr([(p.energy, p.level_spacing) for p in points])
+
+
+@st.composite
+def _scan_cases(draw):
+    """(force, window): a window centred on 0, which is also the bisection
+    root's midpoint, one anywhere near the continuum edge, or an F = 0 window
+    around a bound level -1/(2 n^2)."""
+    force = draw(st.one_of(st.just(0.0), st.floats(1e-4, 5e-2)))
+    half = draw(st.floats(1e-3, 0.05))
+    kind = draw(st.sampled_from(["zero", "edge", "bound"]))
+    if kind == "zero":
+        return force, (-half, half)
+    if kind == "edge":
+        center = draw(st.floats(-0.6, 0.3))
+        return force, (center - half, center + half)
+    level = -0.5 / draw(st.integers(1, 3)) ** 2
+    return 0.0, (level - half, level + half)
+
+
+@settings(max_examples=15)
+@given(
+    boxes=st.lists(st.floats(30.0, 400.0), min_size=3, max_size=3, unique=True).map(sorted),
+    case=_scan_cases(),
+    spacing=st.floats(0.03, 0.1),
+)
+@example(boxes=[50.0, 100.0, 200.0], case=(1e-3, (-0.02, 0.02)), spacing=0.05)
+@example(boxes=[50.0, 100.0, 200.0], case=(0.0, (-0.51, -0.49)), spacing=0.05)
+@example(boxes=[60.0, 120.0, 240.0], case=(0.0, (-0.135, -0.115)), spacing=0.04)
+# The level nearest the centre is the last one in every box's search range.
+@example(boxes=[30.0, 31.0, 32.0], case=(0.0, (38.9, 39.5)), spacing=0.1)
+# The search range reaches past the top of the spectrum's Gershgorin bound.
+@example(boxes=[30.0, 31.0, 32.0], case=(0.0, (799.6, 799.9)), spacing=0.05)
+def test_scan_is_bit_identical_to_whole_window_solve(boxes, case, spacing):
+    force, window = case
+    assert _scan_outcome(boxes, force, window, spacing) == _full_window_scan(
+        boxes, force, window, spacing
+    )
+
+
+def test_last_level_example_uses_the_lower_neighbour():
+    # Guards the explicit example above: it must keep exercising that case.
+    for box in (30.0, 31.0, 32.0):
+        values = _full_window_values(box, 0.0, (38.9, 39.5), 0.1)
+        assert values.size >= 2
+        assert int(np.argmin(np.abs(values - 39.2))) == values.size - 1
+
+
+def test_scan_never_solves_the_whole_window(monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.eigvalsh_tridiagonal
+    ranges = []
+
+    def spy(*args, select_range, **kwargs):
+        ranges.append(select_range)
+        return solve(*args, select_range=select_range, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    points = stabilization_scan([200.0, 400.0, 800.0], 1e-3, (-0.02, 0.02), spacing=0.04)
+    assert len(points) == 3
+    assert ranges
+    assert (-0.02 - 0.6, 0.02 + 0.6) not in ranges
+    assert max(hi - lo for lo, hi in ranges) < 1.24 / 2
