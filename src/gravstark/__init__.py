@@ -2,7 +2,7 @@
 for a two-body Coulomb system whose inertial and gravitational masses differ.
 """
 
-from .constants import AtomicUnitScale, PhysicalConstants, atomic_scale, codata_defaults
+from .constants import PhysicalConstants, atomic_scale, codata_defaults
 from .errors import (
     BoundaryEscapeError,
     DomainEscapeError,
@@ -20,20 +20,12 @@ from .errors import (
     UnrepresentableError,
 )
 from .frames import (
-    AcceleratedHamiltonian,
-    FrameCheckResult,
-    FrameDiscrepancy,
     FrameTrajectory,
-    PhaseField,
-    accelerated_hamiltonian,
     frame_discrepancy,
     frame_equivalence_check,
-    phase_field,
     transform_wavefunction,
 )
 from .ionization import (
-    LifetimeComparison,
-    ResonanceEstimate,
     closed_form_lifetime,
     compare_lifetimes,
     wkb_rate,
@@ -47,20 +39,13 @@ from .masses import (
     model_with_asymmetry,
 )
 from .oracle import (
-    ManifoldMatrix,
-    RadialGrid,
-    ScanPoint,
-    SphericalState,
     degenerate_pt,
-    dipole_matrix_element,
     manifold_matrix,
     radial_eigensolve,
     stabilization_scan,
 )
 from .parabolic import (
     ParabolicLevel,
-    SplittingTable,
-    Sublevel,
     enumerate_levels,
     evaluate_levels,
     first_order_shift,
@@ -69,7 +54,6 @@ from .parabolic import (
 )
 from .separation import (
     FieldSpec,
-    SeparatedHamiltonian,
     separate_gravitational,
     verify_separability,
 )

@@ -20,7 +20,7 @@ from .errors import EigensolverError, GravstarkError, StableAtomSignal
 from .frames import frame_discrepancy, frame_equivalence_check
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
-from .oracle import RadialGrid, degenerate_pt, radial_eigensolve, stabilization_scan
+from .oracle import degenerate_pt, radial_eigensolve, stabilization_scan
 from .parabolic import evaluate_levels, splitting_table, unperturbed_energy
 from .separation import FieldSpec, separate_gravitational
 from .tables import emit_record, emit_table
@@ -132,15 +132,14 @@ def _cmd_separate(args: argparse.Namespace, sink: IO[str]) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace, sink: IO[str]) -> int:
-    grid = RadialGrid.from_spacing(args.spacing, args.r_max)
-    pairs = radial_eigensolve(grid, args.l, args.count)
+    energies = radial_eigensolve(args.spacing, args.r_max, args.l, args.count)
     rows = []
-    for energy, state in pairs:
-        bohr = -1.0 / (2.0 * state.n**2)
+    for n, energy in enumerate(energies, start=args.l + 1):
+        bohr = -1.0 / (2.0 * n**2)
         rows.append(
             {
-                "n": state.n,
-                "l": state.l,
+                "n": n,
+                "l": args.l,
                 "energy_bohr_hartree": bohr,
                 "energy_oracle_hartree": energy,
                 "abs_error_hartree": abs(energy - bohr),

@@ -11,7 +11,9 @@ M Zdotdot . R': the acceleration couples only to the center of mass, with
 effective gravitational mass equal to the total inertial mass M, and leaves
 the internal dynamics untouched for every mass configuration.  That is the
 structural contrast with a real uniform field, whose internal coupling is
-the mass asymmetry times g.
+the mass asymmetry times g.  The accelerated frame's coefficients are those
+``separate_gravitational`` gives once each gravitational mass is set to its
+inertial one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError, UndefinedRatioError
+from .errors import DomainEscapeError, UndefinedRatioError, UnrepresentableError
 from .masses import MassModel, derive_composites
 from .wavepacket import (
     PropagationSpec,
@@ -33,12 +35,8 @@ from .wavepacket import (
 
 __all__ = [
     "FrameTrajectory",
-    "PhaseField",
-    "AcceleratedHamiltonian",
     "FrameDiscrepancy",
     "FrameCheckResult",
-    "phase_field",
-    "accelerated_hamiltonian",
     "frame_discrepancy",
     "transform_wavefunction",
     "frame_equivalence_check",
@@ -58,66 +56,6 @@ class FrameTrajectory:
         if len(self.acceleration) != 3 or not all(map(math.isfinite, self.acceleration)):
             raise ValueError("acceleration must be a finite 3-vector")
 
-    def displacement(self, t: float) -> np.ndarray:
-        """Z(t) = a t^2 / 2."""
-        return 0.5 * np.asarray(self.acceleration) * t * t
-
-    def velocity(self, t: float) -> np.ndarray:
-        """Zdot(t) = a t."""
-        return np.asarray(self.acceleration) * t
-
-    def speed_squared_integral(self, t: float) -> float:
-        """integral_0^t |Zdot|^2 ds = |a|^2 t^3 / 3."""
-        a2 = float(np.dot(self.acceleration, self.acceleration))
-        return a2 * t**3 / 3.0
-
-
-@dataclass(frozen=True)
-class PhaseField:
-    """Coefficients of the frame-change phase for a two-particle state.
-
-    The gradient of the phase with respect to each particle coordinate is the
-    linear coefficient divided by hbar; the time part collects the kinetic
-    action of the frame motion.
-    """
-
-    electron_coefficient: tuple[float, float, float]  # -m_e Zdot, momentum units
-    proton_coefficient: tuple[float, float, float]    # -m_p Zdot
-    time_part: float                                  # -(M/2) integral Zdot^2, action units
-
-
-def phase_field(model: MassModel, trajectory: FrameTrajectory, t: float) -> PhaseField:
-    """Phase coefficients of the frame change at time ``t``."""
-    v = trajectory.velocity(t)
-    total = model.m_e + model.m_p
-    return PhaseField(
-        electron_coefficient=tuple(-model.m_e * v),
-        proton_coefficient=tuple(-model.m_p * v),
-        time_part=-0.5 * total * trajectory.speed_squared_integral(t),
-    )
-
-
-@dataclass(frozen=True)
-class AcceleratedHamiltonian:
-    """Coupling structure seen by a uniformly accelerated observer."""
-
-    cm_coupling: float          # N, = M |a|
-    internal_coupling: float    # N, identically zero
-    effective_grav_mass: float  # kg, = M for every configuration
-
-
-def accelerated_hamiltonian(model: MassModel, accel) -> AcceleratedHamiltonian:
-    """Coupling record in the frame accelerating with ``accel`` (m/s^2 3-vector)."""
-    a = np.asarray(accel, dtype=float)
-    if a.shape != (3,) or not np.all(np.isfinite(a)):
-        raise ValueError("acceleration must be a finite 3-vector")
-    total = model.m_e + model.m_p
-    return AcceleratedHamiltonian(
-        cm_coupling=total * float(np.linalg.norm(a)),
-        internal_coupling=0.0,
-        effective_grav_mass=total,
-    )
-
 
 @dataclass(frozen=True)
 class FrameDiscrepancy:
@@ -128,16 +66,27 @@ class FrameDiscrepancy:
 
 
 def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
-    """Field-versus-acceleration contrast for a field/acceleration of ``magnitude``."""
-    if magnitude < 0.0:
-        raise ValueError("magnitude must be non-negative")
+    """Field-versus-acceleration contrast for a field/acceleration of ``magnitude``.
+
+    Raises ``UnrepresentableError`` when the ratio or the coupling difference
+    leaves the float range: not finite, or 0 at nonzero inputs.
+    """
+    if not 0.0 <= magnitude < math.inf:
+        raise ValueError("magnitude must be non-negative and finite")
     comp = derive_composites(model)
     if comp.grav_total_mass == 0.0:
         raise UndefinedRatioError("total gravitational mass is zero; ratio undefined")
-    return FrameDiscrepancy(
-        cm_mass_ratio=comp.total_mass / comp.grav_total_mass,
-        internal_coupling_difference=abs(comp.mass_asymmetry) * magnitude,
-    )
+    ratio = comp.total_mass / comp.grav_total_mass
+    coupling = abs(comp.mass_asymmetry) * magnitude
+    if not math.isfinite(ratio) or ratio == 0.0:
+        raise UnrepresentableError(f"cm_mass_ratio is {ratio!r}: outside the float range")
+    if not math.isfinite(coupling) or (
+        coupling == 0.0 and comp.mass_asymmetry != 0.0 and magnitude != 0.0
+    ):
+        raise UnrepresentableError(
+            f"internal_coupling_difference is {coupling!r}: outside the float range"
+        )
+    return FrameDiscrepancy(cm_mass_ratio=ratio, internal_coupling_difference=coupling)
 
 
 def transform_wavefunction(

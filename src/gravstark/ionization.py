@@ -78,7 +78,7 @@ def _internal_force(composites: CompositeMasses, field: FieldSpec) -> float:
 
 @dataclass(frozen=True)
 class ResonanceEstimate:
-    """Closed-form lifetime pieces, optionally joined by the WKB estimate.
+    """Closed-form lifetime pieces.
 
     ``tau_closed_form`` is ``inf`` once the exponent passes the overflow
     threshold; ``log10_tau_closed_form`` is always finite.
@@ -89,9 +89,6 @@ class ResonanceEstimate:
     closed_form_exponent: float     # dimensionless
     tau_closed_form: float          # s (inf when not representable)
     log10_tau_closed_form: float    # log10 of seconds
-    wkb_exponent: float | None = None
-    wkb_rate: float | None = None   # 1 / s
-    log10_tau_wkb: float | None = None
 
 
 @dataclass(frozen=True)
@@ -144,12 +141,11 @@ def closed_form_lifetime(
     )
 
 
-def _barrier_turning_points(force: float, softening: float) -> tuple[float, float]:
+def _barrier_turning_points(force: float) -> tuple[float, float]:
     """Roots of V(x) - E = 0 around the barrier, by bisection to 1e-12 relative."""
 
     def gap(x: float) -> float:
-        coulomb = -1.0 / math.sqrt(x * x + softening * softening) if softening else -1.0 / x
-        return coulomb - force * x - GROUND_ENERGY
+        return -1.0 / x - force * x - GROUND_ENERGY
 
     top = 1.0 / math.sqrt(force)
     if gap(top) <= 0.0:
@@ -180,7 +176,6 @@ def wkb_rate(
     composites: CompositeMasses,
     field: FieldSpec,
     constants: PhysicalConstants,
-    softening: float = 0.0,
 ) -> tuple[float, float]:
     """(decay rate in 1/s, barrier exponent) from the semiclassical integral.
 
@@ -199,31 +194,21 @@ def wkb_rate(
     reported in log space by ``compare_lifetimes``.
     """
     force_si = _internal_force(composites, field)
-    if softening < 0.0:
-        raise ValueError("softening must be non-negative")
     scale = atomic_scale(constants, composites.reduced_mass)
     force = _representable("internal force in atomic units", force_si / scale.force_atomic)
-    inner, outer = _barrier_turning_points(force, softening)
+    inner, outer = _barrier_turning_points(force)
     width = outer - inner
     # The integrand below carries width**2; past the float range quad would
     # only return nan.
     _representable("squared barrier width", width * width)
 
-    if softening == 0.0:
-        # Exact factorization V - E = (F/x)(x - inner)(outer - x) removes the
-        # endpoint square roots after x = inner + width sin^2(theta).
-        def integrand(theta: float) -> float:
-            s = math.sin(theta)
-            c = math.cos(theta)
-            x = inner + width * s * s
-            return 2.0 * width * width * math.sqrt(2.0 * force / x) * (s * c) ** 2
-    else:
-        def integrand(theta: float) -> float:
-            s = math.sin(theta)
-            c = math.cos(theta)
-            x = inner + width * s * s
-            gap = -1.0 / math.sqrt(x * x + softening * softening) - force * x - GROUND_ENERGY
-            return 2.0 * width * math.sqrt(2.0 * max(gap, 0.0)) * s * c
+    # Exact factorization V - E = (F/x)(x - inner)(outer - x) removes the
+    # endpoint square roots after x = inner + width sin^2(theta).
+    def integrand(theta: float) -> float:
+        s = math.sin(theta)
+        c = math.cos(theta)
+        x = inner + width * s * s
+        return 2.0 * width * width * math.sqrt(2.0 * force / x) * (s * c) ** 2
 
     # Imported here: scipy.integrate is slow to import and only this path needs it.
     from scipy.integrate import quad
@@ -243,7 +228,6 @@ def compare_lifetimes(
     composites: CompositeMasses,
     field: FieldSpec,
     constants: PhysicalConstants,
-    softening: float = 0.0,
 ) -> LifetimeComparison:
     """Closed-form and WKB exponents side by side, with their ratio flagged.
 
@@ -260,7 +244,7 @@ def compare_lifetimes(
             field_magnitude=field.magnitude,
         )
     scale = atomic_scale(constants, composites.reduced_mass)
-    _, exponent = wkb_rate(composites, field, constants, softening=softening)
+    _, exponent = wkb_rate(composites, field, constants)
     attempt_rate_si = (abs(GROUND_ENERGY) / math.pi) / scale.time_atomic
     log10_tau_wkb = exponent / math.log(10.0) - math.log10(attempt_rate_si)
     ratio = _representable("exponent ratio", exponent / closed.closed_form_exponent)

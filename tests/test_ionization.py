@@ -98,7 +98,7 @@ def test_turning_points_match_quadratic_roots(consts, electron_asymmetry):
     from gravstark.ionization import _barrier_turning_points
 
     for force in (1e-5, 1e-4, 1e-3):
-        inner, outer = _barrier_turning_points(force, 0.0)
+        inner, outer = _barrier_turning_points(force)
         disc = math.sqrt(1.0 - 16.0 * force)
         assert inner == pytest.approx((1.0 - disc) / (4.0 * force), rel=1e-10)
         assert outer == pytest.approx((1.0 + disc) / (4.0 * force), rel=1e-10)
@@ -162,13 +162,6 @@ def test_merged_turning_points_rejected(consts, electron_asymmetry):
         wkb_rate(
             electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, 0.07), consts
         )
-
-
-def test_softened_barrier_close_to_bare(consts, electron_asymmetry):
-    field = field_for_atomic_force(electron_asymmetry, consts, 1e-4)
-    _, bare = wkb_rate(electron_asymmetry, field, consts)
-    _, soft = wkb_rate(electron_asymmetry, field, consts, softening=0.1)
-    assert soft == pytest.approx(bare, rel=5e-2)
 
 
 # --- comparison -------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,14 +9,14 @@ from gravstark import oracle
 from gravstark.errors import EigensolverError, EmptyWindowError, GridResolutionError
 from gravstark.masses import CompositeMasses, MassModel, derive_composites
 from gravstark.oracle import (
-    RadialGrid,
-    SphericalState,
+    _angular_z_factor,
+    _manifold_basis,
+    _manifold_radial,
+    _solve_radial,
     degenerate_pt,
-    dipole_matrix_element,
     manifold_matrix,
     radial_eigensolve,
     stabilization_scan,
-    _solve_radial,
 )
 from gravstark.parabolic import enumerate_levels, first_order_shift, splitting_table
 from gravstark.separation import FieldSpec
@@ -30,56 +29,51 @@ def bohr_energy(n: int) -> float:
 # --- grids -----------------------------------------------------------------
 
 def test_grid_from_spacing_layout():
-    grid = RadialGrid.from_spacing(0.02, 80.0)
-    assert grid.r_min == pytest.approx(0.02)
-    assert grid.point_count == 4000
-    points = grid.points()
-    assert points[0] == pytest.approx(0.02)
-    assert points[-1] == pytest.approx(80.0)
-    refined = grid.refined()
-    assert refined.point_count == 2 * grid.point_count
-    assert refined.r_max == grid.r_max
+    # The box snaps to a whole number of spacings before the spacing is
+    # halved: at 0.012 Bohr, 80 becomes 6667 * 0.012, so the half-spacing
+    # grid holds 13334 points, not round(80 / 0.006) = 13333.
+    snapped = radial_eigensolve(0.012, 6667 * 0.012, 0, 3)
+    assert radial_eigensolve(0.012, 80.0, 0, 3) == snapped
+    assert snapped[0] == pytest.approx(bohr_energy(1), rel=1e-6)
 
 
 def test_grid_invariants_enforced():
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.0, r_max=10.0, point_count=500, spacing=0.02)
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.02, r_max=10.0, point_count=100, spacing=0.1)
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.02, r_max=10.0, point_count=500, spacing=0.07)
+    for spacing, r_max, message in [
+        (0.0, 80.0, "positive and finite"),
+        (-0.01, 80.0, "positive and finite"),
+        (math.nan, 80.0, "positive and finite"),
+        (0.01, 0.0, "positive and finite"),
+        (0.01, -80.0, "positive and finite"),
+        (0.01, math.inf, "positive and finite"),
+        (1e-320, 80.0, "too fine"),
+        (0.1, 10.0, "point_count must be at least 200"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            radial_eigensolve(spacing, r_max, 0, 1)
 
 
 # --- radial eigensolver -----------------------------------------------------
 
 def test_ground_state_energy():
-    grid = RadialGrid.from_spacing(0.01, 60.0)
-    (energy, state), = radial_eigensolve(grid, 0, 1)
+    (energy,) = radial_eigensolve(0.01, 60.0, 0, 1)
     assert energy == pytest.approx(bohr_energy(1), rel=1e-6)
-    assert state.n == 1 and state.l == 0
 
 
 def test_lowest_p_state():
-    grid = RadialGrid.from_spacing(0.01, 80.0)
-    (energy, state), = radial_eigensolve(grid, 1, 1)
+    (energy,) = radial_eigensolve(0.01, 80.0, 1, 1)
     assert energy == pytest.approx(bohr_energy(2), rel=1e-6)
-    assert state.n == 2
 
 
 def test_lowest_f_state():
     # l = 3 first appears at n = 4
-    grid = RadialGrid.from_spacing(0.01, 160.0)
-    (energy, state), = radial_eigensolve(grid, 3, 1)
+    (energy,) = radial_eigensolve(0.01, 160.0, 3, 1)
     assert energy == pytest.approx(bohr_energy(4), rel=1e-6)
-    assert state.n == 4
 
 
 def test_states_are_normalized():
-    grid = RadialGrid.from_spacing(0.01, 80.0)
-    pairs = radial_eigensolve(grid, 0, 2)
-    r = grid.points()
-    for _, state in pairs:
-        norm = np.trapezoid(state.radial_samples**2 * r**2, dx=grid.spacing)
+    _, vectors, _ = _solve_radial(0.01, 80.0, 0, 2)
+    for i in range(2):
+        norm = np.trapezoid(vectors[:, i] ** 2, dx=0.01)
         assert norm == pytest.approx(1.0, abs=1e-10)
 
 
@@ -106,8 +100,8 @@ def test_radial_solve_makes_no_numpy_norm_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", forbidden)
     energies, _, _ = _solve_radial(0.005, 160.0, 0, 4)
     assert energies[0] == pytest.approx(bohr_energy(1), rel=1e-4)
-    pairs = radial_eigensolve(RadialGrid.from_spacing(0.01, 80.0), 0, 3)
-    assert [state.n for _, state in pairs] == [1, 2, 3]
+    levels = radial_eigensolve(0.01, 80.0, 0, 3)
+    assert levels == pytest.approx([bohr_energy(n) for n in (1, 2, 3)], rel=1e-6)
 
 
 def test_energies_decrease_with_resolution():
@@ -121,30 +115,21 @@ def test_energies_decrease_with_resolution():
 
 
 def test_coarse_grid_rejected():
-    grid = RadialGrid.from_spacing(0.05, 20.0)
     with pytest.raises(GridResolutionError):
-        radial_eigensolve(grid, 0, 1)
+        radial_eigensolve(0.05, 20.0, 0, 1)
 
 
 def test_small_box_rejected():
     # n = 3 needs far more room than 20 Bohr
-    grid = RadialGrid.from_spacing(0.01, 20.0)
     with pytest.raises(GridResolutionError):
-        radial_eigensolve(grid, 0, 3)
+        radial_eigensolve(0.01, 20.0, 0, 3)
 
 
 def test_count_range_enforced():
-    grid = RadialGrid.from_spacing(0.01, 60.0)
     with pytest.raises(ValueError):
-        radial_eigensolve(grid, 0, 0)
+        radial_eigensolve(0.01, 60.0, 0, 0)
     with pytest.raises(ValueError):
-        radial_eigensolve(grid, 0, 11)
-
-
-def test_offset_grid_rejected():
-    grid = RadialGrid(r_min=0.5, r_max=60.0, point_count=1000, spacing=(60.0 - 0.5) / 999)
-    with pytest.raises(ValueError):
-        radial_eigensolve(grid, 0, 1)
+        radial_eigensolve(0.01, 60.0, 0, 11)
 
 
 # --- dipole matrix elements --------------------------------------------------
@@ -162,13 +147,11 @@ def test_quad_oracle_value():
 
 
 def test_2s_2p_element_magnitude():
+    # The manifold builder's l = 0 -> 1 overlap times the m = 0 angular factor.
     expected = quad_oracle_2s_2p()
 
     def element(spacing: float) -> float:
-        grid = RadialGrid.from_spacing(spacing, 80.0)
-        s2s = radial_eigensolve(grid, 0, 2)[1][1]
-        s2p = radial_eigensolve(grid, 1, 1)[0][1]
-        return dipole_matrix_element(s2s, s2p)
+        return _manifold_radial(2, spacing, 80.0)[0] * _angular_z_factor(0, 0)
 
     coarse, fine = element(0.005), element(0.0025)
     extrapolated = (4.0 * fine - coarse) / 3.0
@@ -176,45 +159,26 @@ def test_2s_2p_element_magnitude():
     assert abs(extrapolated) == pytest.approx(3.0, abs=1e-7)
 
 
-def test_analytic_states_match_quadrature():
-    # same grid quadrature applied to sampled analytic wavefunctions
-    grid = RadialGrid.from_spacing(0.005, 80.0)
-    r = grid.points()
-
-    def normalized(samples: np.ndarray) -> np.ndarray:
-        return samples / math.sqrt(np.trapezoid(samples**2 * r**2, dx=grid.spacing))
-
-    s2s = SphericalState(
-        n=2, l=0, m=0, grid=grid,
-        radial_samples=normalized((1.0 - r / 2.0) * np.exp(-r / 2.0)),
-    )
-    s2p = SphericalState(
-        n=2, l=1, m=0, grid=grid,
-        radial_samples=normalized(r * np.exp(-r / 2.0)),
-    )
-    value = dipole_matrix_element(s2s, s2p)
-    assert value == pytest.approx(quad_oracle_2s_2p(), abs=1e-5)
+def _coupled_pairs(n: int, consts) -> set:
+    """(l, m) pairs joined by a nonzero entry of the n-manifold matrix."""
+    matrix = manifold_matrix(n, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
+    basis = _manifold_basis(n)
+    return {(basis[i], basis[j]) for i, j in zip(*np.nonzero(matrix))}
 
 
-def test_parity_selection_rule():
-    grid = RadialGrid.from_spacing(0.01, 60.0)
-    (_, ground), = radial_eigensolve(grid, 0, 1)
-    assert dipole_matrix_element(ground, ground) == 0.0
+def test_parity_selection_rule(consts):
+    # z is odd: it joins l to l +- 1 only, never a state to itself; every
+    # such pair with |m| <= min(l) is coupled.
+    for n in (1, 2, 3, 4):
+        pairs = _coupled_pairs(n, consts)
+        assert all(abs(a[0] - b[0]) == 1 for a, b in pairs)
+        assert len(pairs) == 2 * sum(2 * l + 1 for l in range(n - 1))
 
 
-def test_delta_m_selection_rule():
-    grid = RadialGrid.from_spacing(0.01, 80.0)
-    s2p = radial_eigensolve(grid, 1, 1)[0][1]
-    s2s = radial_eigensolve(grid, 0, 2)[1][1]
-    tilted = dataclasses.replace(s2p, m=1)
-    assert dipole_matrix_element(tilted, s2s) == 0.0
-
-
-def test_mismatched_grids_rejected():
-    a = radial_eigensolve(RadialGrid.from_spacing(0.01, 60.0), 0, 1)[0][1]
-    b = radial_eigensolve(RadialGrid.from_spacing(0.02, 60.0), 1, 1)[0][1]
-    with pytest.raises(ValueError):
-        dipole_matrix_element(a, b)
+def test_delta_m_selection_rule(consts):
+    # z commutes with L_z: no entry joins different m.
+    for n in (2, 3, 4):
+        assert all(a[1] == b[1] for a, b in _coupled_pairs(n, consts))
 
 
 # --- manifold diagonalization -------------------------------------------------
@@ -229,9 +193,8 @@ def _composites(asymmetry: float) -> CompositeMasses:
 
 
 def test_manifold_matrix_symmetric_traceless(consts):
-    matrix = manifold_matrix(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
-    assert matrix.dimension == 9
-    entries = matrix.entries
+    entries = manifold_matrix(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
+    assert entries.shape == (9, 9)
     assert np.max(np.abs(entries - entries.T)) <= 1e-12 * np.max(np.abs(entries))
     assert abs(np.trace(entries)) == 0.0
 

@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gravstark.masses import CompositeMasses
 from gravstark.parabolic import (
@@ -115,13 +117,25 @@ def test_shift_reduces_to_force_times_bohr(consts):
     assert shift == pytest.approx(-3.0 * force * bohr, rel=1e-14)
 
 
-def test_shift_antisymmetry(consts, terrestrial_field):
-    comp = _synthetic_composites()
-    for n in (2, 3, 4):
-        levels = enumerate_levels(n)
-        by_k = {lv.k: first_order_shift(lv, comp, terrestrial_field, consts) for lv in levels}
-        for k in range(1, n):
-            assert by_k[k] == pytest.approx(-by_k[-k], rel=1e-14)
+# n up to MAX_PRINCIPAL, |A| over most of the float range with both signs,
+# and g = 0 or 1e-3..1e3.
+_n = st.integers(1, 50)
+_asymmetry = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-300.0, -25.0),
+)
+_g = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+
+
+@given(n=_n, asymmetry=_asymmetry, g=_g)
+def test_shift_antisymmetry(n, asymmetry, g, consts):
+    # Exact: negating the integer k negates the last factor of the product.
+    comp = _synthetic_composites(asymmetry)
+    field = FieldSpec(magnitude=g)
+    by_k = {lv.k: first_order_shift(lv, comp, field, consts) for lv in enumerate_levels(n)}
+    for k in range(1, n):
+        assert by_k[k] == -by_k[-k]
 
 
 def test_unperturbed_energy_bohr_formula(consts):
@@ -133,24 +147,19 @@ def test_unperturbed_energy_bohr_formula(consts):
     assert unperturbed_energy(2, comp, consts) == pytest.approx(e1 / 4.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-def test_table_structure(n, consts, terrestrial_field):
-    comp = _synthetic_composites()
-    table = splitting_table(n, comp, terrestrial_field, consts)
+@given(n=_n, asymmetry=_asymmetry, g=_g)
+def test_table_structure(n, asymmetry, g, consts):
+    table = splitting_table(n, _synthetic_composites(asymmetry), FieldSpec(magnitude=g), consts)
     assert len(table.sublevels) == 2 * n - 1
     assert sum(sub.multiplicity for sub in table.sublevels) == n * n
     # multiplicities agree with exhaustive enumeration
-    levels = enumerate_levels(n)
-    for sub in table.sublevels:
-        assert sub.multiplicity == sum(1 for lv in levels if lv.k == sub.k)
-    # uniform spacing in the shifts
-    if n > 1:
-        gaps = [
-            table.sublevels[i].shift - table.sublevels[i + 1].shift
-            for i in range(len(table.sublevels) - 1)
-        ]
-        for gap in gaps:
-            assert abs(abs(gap) - table.spacing) <= 1e-12 * table.spacing
+    per_k = Counter(lv.k for lv in enumerate_levels(n))
+    assert {sub.k: sub.multiplicity for sub in table.sublevels} == per_k
+    # Uniform spacing in the shifts.  Shifts below the normal float range
+    # are resolved only to one subnormal step each.
+    tolerance = 1e-12 * table.spacing + 2.0 * math.ulp(0.0)
+    for upper, lower in zip(table.sublevels, table.sublevels[1:]):
+        assert abs(abs(upper.shift - lower.shift) - table.spacing) <= tolerance
 
 
 def test_n2_multiplicities(consts, terrestrial_field):
