@@ -147,9 +147,7 @@ def test_unperturbed_energy_bohr_formula(consts):
     assert unperturbed_energy(2, comp, consts) == pytest.approx(e1 / 4.0, rel=1e-14)
 
 
-@given(n=_n, asymmetry=_asymmetry, g=_g)
-def test_table_structure(n, asymmetry, g, consts):
-    table = splitting_table(n, _synthetic_composites(asymmetry), FieldSpec(magnitude=g), consts)
+def _assert_table_structure(table, n):
     assert len(table.sublevels) == 2 * n - 1
     assert sum(sub.multiplicity for sub in table.sublevels) == n * n
     # multiplicities agree with exhaustive enumeration
@@ -160,6 +158,18 @@ def test_table_structure(n, asymmetry, g, consts):
     tolerance = 1e-12 * table.spacing + 2.0 * math.ulp(0.0)
     for upper, lower in zip(table.sublevels, table.sublevels[1:]):
         assert abs(abs(upper.shift - lower.shift) - table.spacing) <= tolerance
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_table_structure(n, consts, terrestrial_field):
+    table = splitting_table(n, _synthetic_composites(), terrestrial_field, consts)
+    _assert_table_structure(table, n)
+
+
+@given(n=_n, asymmetry=_asymmetry, g=_g)
+def test_table_structure_property(n, asymmetry, g, consts):
+    table = splitting_table(n, _synthetic_composites(asymmetry), FieldSpec(magnitude=g), consts)
+    _assert_table_structure(table, n)
 
 
 def test_n2_multiplicities(consts, terrestrial_field):
