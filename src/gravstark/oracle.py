@@ -21,11 +21,13 @@ semiclassical density of states (the integral of dx/p) grows like sqrt(L);
 bound levels converge.
 
 The scan's values are those of one value-mode bisection over the window
-widened by 0.6 Hartree on each side, yet it solves only the tree nodes of that
-bisection next to the window centre.  Bisection halves each interval at its
-float midpoint and stops at a width fixed by the Gershgorin bound and the
-interval's own end points, not by the search window, so a solve started on a
-tree node returns exactly the whole-window solve's floats inside it.
+widened by 0.6 Hartree on each side, yet it solves only tree nodes of that
+bisection: the ones next to the window centre and, when the upper neighbour
+lies above them, the following same-depth nodes up to the first non-empty
+one.  Bisection halves each interval at its float midpoint and stops at a
+width fixed by the Gershgorin bound and the interval's own end points, not by
+the search window, so a solve started on a tree node returns exactly the
+whole-window solve's floats inside it.
 """
 
 from __future__ import annotations
@@ -315,24 +317,43 @@ def _start_depth(diag: np.ndarray, off: np.ndarray, root: tuple[float, float]) -
     return 0
 
 
+def _nodes_above(root: tuple[float, float], depth: int, start: float):
+    """Ascending nodes (a, b] at ``depth`` of the midpoint bisection tree over
+    ``root`` that lie above ``start``, generated one at a time."""
+    stack = [(root, depth)]
+    while stack:
+        (a, b), level = stack.pop()
+        if b <= start:
+            continue
+        if level == 0:
+            yield a, b
+            continue
+        mid = 0.5 * (a + b)
+        stack += [((mid, b), level - 1), ((a, mid), level - 1)]
+
+
 def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: float):
     """(energy, level spacing) of the eigenvalue nearest the window centre.
 
     Solves the tree nodes next to the centre and widens (one tree level up,
-    twice the reach) until they settle the answer; the root is the whole
-    search window (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN].
+    twice the reach) until they settle the nearest value; the root is the
+    whole search window (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN].  An upper
+    neighbour above every solved node is found by walking the following
+    same-depth nodes upwards to the first non-empty one; an empty node costs
+    LAPACK two Sturm counts.
     """
     # Imported here: scipy.linalg is slow to import and only the grid solves need it.
     from scipy.linalg import eigvalsh_tridiagonal
+
+    def solve(node):
+        return eigvalsh_tridiagonal(diag, off, select="v", select_range=node)
 
     center = 0.5 * (lo + hi)
     root = (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN)
     depth = _start_depth(diag, off, root)
     while True:
         nodes = _tree_nodes(root, center, depth)
-        values = np.concatenate([
-            eigvalsh_tridiagonal(diag, off, select="v", select_range=node) for node in nodes
-        ])
+        values = np.concatenate([solve(node) for node in nodes])
         if depth == 0:
             if not np.any((values >= lo) & (values <= hi)):
                 raise EmptyWindowError(f"no eigenvalue in [{lo}, {hi}] for box size {box}")
@@ -340,7 +361,7 @@ def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: floa
                 raise EmptyWindowError(
                     f"no neighboring eigenvalue around the window for box size {box}"
                 )
-        if values.size >= 2:
+        if values.size:
             nearest = int(np.argmin(np.abs(values - center)))
             energy = float(values[nearest])
             has_upper = nearest + 1 < values.size
@@ -360,7 +381,13 @@ def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: floa
                     f"energy window [{lo}, {hi}] is too wide to resolve levels "
                     f"around its centre {center}"
                 )
-            if depth == 0 or (settled and (has_upper or reaches_top)):
+            if settled and not (has_upper or reaches_top):
+                for node in _nodes_above(root, depth, nodes[-1][1]):
+                    above = solve(node)
+                    if above.size:
+                        return energy, float(above[0] - values[nearest])
+                reaches_top = True
+            if depth == 0 or (settled and (has_upper or reaches_top and nearest > 0)):
                 if has_upper:
                     return energy, float(values[nearest + 1] - values[nearest])
                 return energy, float(values[nearest] - values[nearest - 1])
@@ -384,9 +411,12 @@ def stabilization_scan(
     (lo - 0.6, hi + 0.6], whose search window never sets where an interval is
     split or where it stops, so a solve over one node of its bisection tree
     returns the same floats there.  The nodes next to the centre are solved
-    first and settle the answer when no unsolved value can be nearer and the
-    neighbour was solved too; otherwise the search climbs one tree level, up
-    to the whole window.  Digits and errors are those of the whole-window solve.
+    first and settle the nearest value when no unsolved value can be nearer;
+    otherwise the search climbs one tree level, up to the whole window.  An
+    upper neighbour beyond the solved nodes is found by solving the following
+    nodes of the same depth one at a time, up to the first non-empty one (at
+    most 2**8 solves, most of them empty), instead of climbing.  Digits and
+    errors are those of the whole-window solve.
     """
     sizes = [float(b) for b in box_sizes]
     if len(sizes) < 3:

@@ -13,6 +13,7 @@ the sublevel at k carrying n - |k| states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants
@@ -120,7 +121,8 @@ def _shift(
     # Below |A| g = 2**-800 the product A g hbar would underflow, so the smaller
     # factor is carried times 2**800 and the one final division takes that back
     # out; that changes no bit of a normal-range result.  Adding 0.0 turns -0.0
-    # into 0.0 and leaves every other value unchanged.
+    # into 0.0 and leaves every other value unchanged.  A nonzero shift below
+    # the normal range has lost digits, as has one that flushed to 0.
     a, g = composites.mass_asymmetry, field.magnitude
     scale = 1.0
     if abs(a) * g < 2.0**-800:
@@ -133,7 +135,9 @@ def _shift(
         -3.0 * a * g * constants.hbar * n * k
         / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
     ) / scale + 0.0
-    if math.isfinite(shift) and (shift != 0.0 or a == 0.0 or g == 0.0 or k == 0):
+    if math.isfinite(shift) and (
+        abs(shift) >= sys.float_info.min or a == 0.0 or g == 0.0 or k == 0
+    ):
         return shift
     raise UnrepresentableError(
         f"first-order shift at n = {n}, k = {k} is {shift!r} J: A g is outside the float range"

@@ -7,16 +7,19 @@ Strang splitting per step,
 with the kinetic factor applied in momentum space on a periodic grid.  A
 static potential (an array on the grid) has its half-step factor built once
 per run; a callable potential is time-dependent and is sampled at the
-midpoint of each step, which keeps second-order accuracy.  The grid must be
-a power of two and sized so the wavepacket support stays at least eight grid
-spacings away from the boundary; this is asserted while propagating.
+midpoint of each step, which keeps second-order accuracy.  Free evolution
+needs no stepping: the kinetic propagator is diagonal in momentum space, so
+``_free_evolution`` forms the state at any time with one spectral multiply.
+The grid must be a power of two and sized so the wavepacket support stays at
+least eight grid spacings away from the boundary; both routes assert this
+every ``CHECK_INTERVAL`` steps and at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -144,64 +147,69 @@ def _half_factor(v, dt: float, hbar: float) -> np.ndarray:
     return np.exp(-0.5j * np.asarray(v, dtype=float) * dt / hbar)
 
 
-def _static_half_factor(
-    potential: Potential | None, x: np.ndarray, spec: PropagationSpec
-) -> np.ndarray | None:
-    """Half-step factor of a static potential array; None for a free row or a callable."""
-    if potential is None or callable(potential):
-        return None
-    if np.shape(potential) != x.shape:
-        raise ValueError("a static potential must hold one value per grid point")
-    return _half_factor(potential, spec.dt, spec.hbar)
+def _check_steps(steps: int) -> list[int]:
+    """Steps after which a run health-checks its state: every CHECK_INTERVAL-th and the last."""
+    checked = list(range(CHECK_INTERVAL - 1, steps - 1, CHECK_INTERVAL))
+    return checked + [steps - 1]
 
 
-def _evolve(
-    state: Wavefunction1D, potentials: Sequence[Potential | None], spec: PropagationSpec
-) -> np.ndarray:
-    """Step one copy of ``state`` per entry of ``potentials`` as a (B, N) batch.
+def _wavenumbers(state: Wavefunction1D) -> np.ndarray:
+    return 2.0 * math.pi * np.fft.fftfreq(state.point_count, d=state.dx)
 
-    Row i feels ``potentials[i]`` (``None`` for a free row); mass, dt, steps,
-    hbar and t0 come from ``spec`` and are shared, so one kinetic factor and
-    one FFT pair per step serve every row.  Each row is health-checked.
-    """
-    dx = state.dx
+
+def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
+    """Evolve ``state`` through ``spec.steps`` Strang-split steps."""
     x = state.grid()
-    k = 2.0 * math.pi * np.fft.fftfreq(state.point_count, d=dx)
-    k_max = math.pi / dx
+    k = _wavenumbers(state)
+    k_max = math.pi / state.dx
     if abs(spec.dt) * spec.hbar * k_max**2 / (2.0 * spec.mass) >= math.pi:
         raise StabilityBoundError(
             "time step violates |dt| * E_kin_max / hbar < pi; "
             "shrink dt or coarsen the grid"
         )
     kinetic = np.exp(-1j * spec.hbar * k**2 * spec.dt / (2.0 * spec.mass))
-    fixed = [_static_half_factor(p, x, spec) for p in potentials]
+    potential = spec.potential
+    if callable(potential):
+        half = None
+    elif np.shape(potential) != x.shape:
+        raise ValueError("a static potential must hold one value per grid point")
+    else:
+        half = _half_factor(potential, spec.dt, spec.hbar)
 
-    psi = np.repeat(state.samples[np.newaxis], len(potentials), axis=0)
+    checked = frozenset(_check_steps(spec.steps))
+    psi = state.samples.copy()
     spectrum = np.empty_like(psi)
     for step in range(spec.steps):
-        t_mid = spec.t0 + (step + 0.5) * spec.dt
-        halves = [
-            _half_factor(p(x, t_mid), spec.dt, spec.hbar) if callable(p) else half
-            for p, half in zip(potentials, fixed)
-        ]
-        for row, half in zip(psi, halves):
-            if half is not None:
-                row *= half
+        if callable(potential):
+            t_mid = spec.t0 + (step + 0.5) * spec.dt
+            half = _half_factor(potential(x, t_mid), spec.dt, spec.hbar)
+        psi *= half
         np.fft.fft(psi, out=spectrum)
         spectrum *= kinetic
         np.fft.ifft(spectrum, out=psi)
-        for row, half in zip(psi, halves):
-            if half is not None:
-                row *= half
-        if step % CHECK_INTERVAL == CHECK_INTERVAL - 1 or step == spec.steps - 1:
-            for row in psi:
-                _check_health(row, step)
-    return psi
+        psi *= half
+        if step in checked:
+            _check_health(psi, step)
+    return Wavefunction1D(
+        samples=psi, x_min=state.x_min, x_max=state.x_max, point_count=state.point_count
+    )
 
 
-def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
-    """Evolve ``state`` through ``spec.steps`` Strang-split steps."""
-    (psi,) = _evolve(state, [spec.potential], spec)
+def _free_evolution(
+    state: Wavefunction1D, mass: float, dt: float, steps: int, hbar: float = 1.0
+) -> Wavefunction1D:
+    """Exact free evolution of ``state`` over ``steps * dt``: one spectral multiply.
+
+    On the periodic grid the free propagator is diagonal in momentum space,
+    so the state at time t is ifft(fft(psi) exp(-i hbar k^2 t / 2m)) with no
+    splitting error.  The state is formed and health-checked at the times a
+    stepped run of the same ``dt`` and ``steps`` would check it.
+    """
+    spectrum = np.fft.fft(state.samples)
+    rate = hbar * _wavenumbers(state) ** 2 / (2.0 * mass)
+    for step in _check_steps(steps):
+        psi = np.fft.ifft(spectrum * np.exp(-1j * rate * ((step + 1) * dt)))
+        _check_health(psi, step)
     return Wavefunction1D(
         samples=psi, x_min=state.x_min, x_max=state.x_max, point_count=state.point_count
     )
@@ -221,7 +229,7 @@ def fidelity(a: Wavefunction1D, b: Wavefunction1D) -> float:
 
 def mean_momentum(state: Wavefunction1D, hbar: float = 1.0) -> float:
     """Expectation of the momentum operator via the spectral representation."""
-    k = 2.0 * math.pi * np.fft.fftfreq(state.point_count, d=state.dx)
+    k = _wavenumbers(state)
     spectrum = np.abs(np.fft.fft(state.samples)) ** 2
     total = float(np.sum(spectrum))
     if total == 0.0:

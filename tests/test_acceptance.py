@@ -183,9 +183,15 @@ def test_criterion_08_galilean_exactness():
     )
     elapsed = time.perf_counter() - start
     assert result.fidelity >= 1.0 - 1e-6
+    # Once the splitting phase is removed, only rounding separates the paths.
+    assert result.max_pointwise_error <= 1e-12
     assert result.steps <= 4096
     assert elapsed < 10.0
-    report(8, f"frame map fidelity {result.fidelity:.9f} in {elapsed:.1f}s")
+    report(
+        8,
+        f"frame map fidelity {result.fidelity:.9f}, phase-corrected error "
+        f"{result.max_pointwise_error:.1e} in {elapsed:.1f}s",
+    )
 
 
 def test_criterion_09_frame_asymmetry_randomized():

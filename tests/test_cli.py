@@ -235,9 +235,10 @@ def test_oracle_grouping_mismatch_exits_3(monkeypatch, capsys):
     [
         ["--mbar-e-ratio", "1e300", "--g", "1e300"],
         ["--mbar-e-ratio", "1.1", "--g", "1e-300"],
+        ["--mbar-e-ratio", "1.1", "--g", "1e-278"],
         ["--m-e", "1e300", "--m-p", "1e300", "--g", "0"],
     ],
-    ids=["shift-overflow", "shift-underflow", "energy-overflow"],
+    ids=["shift-overflow", "shift-underflow", "shift-subnormal", "energy-overflow"],
 )
 def test_unrepresentable_split_exits_3(config, extra, capsys):
     code = run(["split", "--n", "2", *config, "--no-oracle", *extra])

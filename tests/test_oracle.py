@@ -440,6 +440,8 @@ def _scan_cases(draw):
 @example(boxes=[30.0, 31.0, 32.0], case=(0.0, (38.9, 39.5)), spacing=0.1)
 # The search range reaches past the top of the spectrum's Gershgorin bound.
 @example(boxes=[30.0, 31.0, 32.0], case=(0.0, (799.6, 799.9)), spacing=0.05)
+# The benchmark's F = 0 window on n = 1: the upper neighbour lies 0.375 above.
+@example(boxes=[150.0, 300.0, 600.0], case=(0.0, (-0.575, -0.425)), spacing=0.04)
 def test_scan_is_bit_identical_to_whole_window_solve(boxes, case, spacing):
     force, window = case
     assert _scan_outcome(boxes, force, window, spacing) == _full_window_scan(
@@ -471,3 +473,24 @@ def test_scan_never_solves_the_whole_window(monkeypatch):
     assert ranges
     assert (-0.02 - 0.6, 0.02 + 0.6) not in ranges
     assert max(hi - lo for lo, hi in ranges) < 1.24 / 2
+
+
+def test_upper_neighbour_is_found_without_leaving_the_leaves(monkeypatch):
+    # The n = 1 level's neighbour lies 0.375 Hartree above the centre, beyond
+    # every tree node short of the root; the scan walks depth-8 leaves to it.
+    import scipy.linalg
+
+    solve = scipy.linalg.eigvalsh_tridiagonal
+    ranges = []
+
+    def spy(*args, select_range, **kwargs):
+        ranges.append(select_range)
+        return solve(*args, select_range=select_range, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    points = stabilization_scan([150.0, 300.0, 600.0], 0.0, (-0.575, -0.425), spacing=0.04)
+    assert all(p.level_spacing > 0.37 for p in points)
+    leaf = (-0.425 + 0.6 - (-0.575 - 0.6)) / 2**8
+    assert max(hi - lo for lo, hi in ranges) <= leaf * (1.0 + 1e-12)
+    # leaves up to the one holding -1/8, and no further
+    assert max(hi for _, hi in ranges) < -0.12 + leaf

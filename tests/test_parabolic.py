@@ -1,9 +1,11 @@
 import math
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gravstark.errors import UnrepresentableError
 from gravstark.masses import CompositeMasses
 from gravstark.parabolic import (
     ParabolicLevel,
@@ -128,11 +130,27 @@ _asymmetry = st.builds(
 _g = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
 
 
+def _below_normal_range(n, asymmetry, g, consts):
+    """Whether the smallest nonzero shift, at |k| = 1, falls below the normal
+    float range, evaluated with |A| carried times 2**600."""
+    scale = 2.0**600
+    smallest = (
+        1.5 * n * (abs(asymmetry) * scale) * g * consts.hbar
+        / (_synthetic_composites().reduced_mass * consts.alpha * consts.c)
+    )
+    return n > 1 and g != 0.0 and smallest < sys.float_info.min * scale
+
+
 @given(n=_n, asymmetry=_asymmetry, g=_g)
 def test_shift_antisymmetry(n, asymmetry, g, consts):
     # Exact: negating the integer k negates the last factor of the product.
     comp = _synthetic_composites(asymmetry)
     field = FieldSpec(magnitude=g)
+    if _below_normal_range(n, asymmetry, g, consts):
+        level = next(lv for lv in enumerate_levels(n) if lv.k == 1)
+        with pytest.raises(UnrepresentableError):
+            first_order_shift(level, comp, field, consts)
+        return
     by_k = {lv.k: first_order_shift(lv, comp, field, consts) for lv in enumerate_levels(n)}
     for k in range(1, n):
         assert by_k[k] == -by_k[-k]
@@ -153,11 +171,9 @@ def _assert_table_structure(table, n):
     # multiplicities agree with exhaustive enumeration
     per_k = Counter(lv.k for lv in enumerate_levels(n))
     assert {sub.k: sub.multiplicity for sub in table.sublevels} == per_k
-    # Uniform spacing in the shifts.  Shifts below the normal float range
-    # are resolved only to one subnormal step each.
-    tolerance = 1e-12 * table.spacing + 2.0 * math.ulp(0.0)
+    # Uniform spacing in the shifts.
     for upper, lower in zip(table.sublevels, table.sublevels[1:]):
-        assert abs(abs(upper.shift - lower.shift) - table.spacing) <= tolerance
+        assert abs(abs(upper.shift - lower.shift) - table.spacing) <= 1e-12 * table.spacing
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -168,8 +184,12 @@ def test_table_structure(n, consts, terrestrial_field):
 
 @given(n=_n, asymmetry=_asymmetry, g=_g)
 def test_table_structure_property(n, asymmetry, g, consts):
-    table = splitting_table(n, _synthetic_composites(asymmetry), FieldSpec(magnitude=g), consts)
-    _assert_table_structure(table, n)
+    comp, field = _synthetic_composites(asymmetry), FieldSpec(magnitude=g)
+    if _below_normal_range(n, asymmetry, g, consts):
+        with pytest.raises(UnrepresentableError):
+            splitting_table(n, comp, field, consts)
+        return
+    _assert_table_structure(splitting_table(n, comp, field, consts), n)
 
 
 def test_n2_multiplicities(consts, terrestrial_field):
@@ -201,10 +221,19 @@ def test_tiny_asymmetry_does_not_underflow(consts, terrestrial_field):
 
 def test_tiny_field_does_not_underflow(consts):
     # At A = 1e-30 kg the product A g hbar underflows for g below about 7e-245;
-    # the shifts must stay linear in g down there too.
-    tiny = splitting_table(2, _synthetic_composites(), FieldSpec(magnitude=1.0e-270), consts)
+    # the shifts must stay linear in g down there too.  At g = 1e-250 the
+    # spacing, about 1.6e-290 J, is still a normal float.
+    tiny = splitting_table(2, _synthetic_composites(), FieldSpec(magnitude=1.0e-250), consts)
     base = splitting_table(2, _synthetic_composites(), FieldSpec(magnitude=1.0), consts)
-    assert 1.0e270 * tiny.spacing / base.spacing == pytest.approx(1.0, rel=1e-12)
+    assert tiny.spacing >= sys.float_info.min
+    assert 1.0e250 * tiny.spacing / base.spacing == pytest.approx(1.0, rel=1e-12)
+
+
+def test_subnormal_shift_is_unrepresentable(consts):
+    # At g = 1e-270 the spacing would be a subnormal (about 1.6e-310 J) that
+    # keeps only a few significant digits.
+    with pytest.raises(UnrepresentableError):
+        splitting_table(2, _synthetic_composites(), FieldSpec(magnitude=1.0e-270), consts)
 
 
 def test_sign_coherence(consts, terrestrial_field):

@@ -10,7 +10,7 @@ from gravstark.wavepacket import (
     fidelity,
     gaussian_packet,
     mean_momentum,
-    _evolve,
+    _free_evolution,
     propagate,
 )
 
@@ -159,14 +159,39 @@ def test_static_potential_shape_checked():
         propagate(state, PropagationSpec(potential=np.zeros(512), mass=1.0, dt=1e-3, steps=1))
 
 
-def test_every_batch_row_is_health_checked():
-    # the free row stays put; only the pushed row reaches the edge
-    state = gaussian_packet(-24.0, 24.0, 512, center=0.0, sigma=1.0)
-    spec = PropagationSpec(potential=-40.0 * state.grid(), mass=1.0, dt=2e-3, steps=640)
+def test_closed_form_free_path_matches_stepped_free_propagation():
+    # The frame check's default grid and stepping: the spectral multiply and
+    # 4096 Strang steps with a zero potential agree to rounding.
+    state = gaussian_packet(-24.0, 24.0, 2048, sigma=1.0)
+    spec = PropagationSpec(potential=zero_potential, mass=1.0, dt=1.0 / 4096, steps=4096)
+    stepped = propagate(state, spec)
+    exact = _free_evolution(state, spec.mass, spec.dt, spec.steps)
+    assert np.max(np.abs(exact.samples - stepped.samples)) <= 1e-12
+
+
+# A heavy packet that crosses the periodic grid once and is back, intact, at
+# the centre at t = 8: only the intermediate checks see it at the edge.
+_ROUND_TRIP = dict(mass=20.0, dt=8.0 / 1024, steps=1024)
+
+
+def _round_trip_state():
+    return gaussian_packet(-16.0, 16.0, 1024, sigma=1.0, momentum=80.0)
+
+
+def test_free_path_is_health_checked_while_it_crosses_the_edge():
+    state = _round_trip_state()
     with pytest.raises(BoundaryEscapeError):
-        _evolve(state, [None, spec.potential], spec)
-    free = PropagationSpec(potential=zero_potential, mass=1.0, dt=2e-3, steps=640)
-    assert propagate(state, free).norm() == pytest.approx(1.0, abs=1e-10)
+        _free_evolution(state, **_ROUND_TRIP)
+    # checked only at t = 8, the same packet passes
+    back = _free_evolution(state, _ROUND_TRIP["mass"], 8.0, 1)
+    assert fidelity(state, back) >= 0.99
+
+
+def test_stepped_path_is_health_checked_while_it_crosses_the_edge():
+    state = _round_trip_state()
+    spec = PropagationSpec(potential=np.zeros(state.point_count), **_ROUND_TRIP)
+    with pytest.raises(BoundaryEscapeError):
+        propagate(state, spec)
 
 
 def test_non_finite_potential_aborts():
