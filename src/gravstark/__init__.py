@@ -1,6 +1,13 @@
 """Hydrogen-like level structure, stability, and accelerated-frame contrast
 for a two-body Coulomb system whose inertial and gravitational masses differ.
+
+The closed forms import no numpy.  The numerical routes of ``frames``,
+``oracle`` and ``wavepacket`` are re-exported lazily: their module, and
+numpy with it, loads on first access to one of their names.
 """
+
+import importlib
+import types
 
 from .constants import PhysicalConstants, atomic_scale, codata_defaults
 from .errors import (
@@ -12,18 +19,11 @@ from .errors import (
     GridResolutionError,
     NoBarrierError,
     PropagationError,
-    QuadratureError,
     ResourceLimitError,
     StabilityBoundError,
     StableAtomSignal,
     UndefinedRatioError,
     UnrepresentableError,
-)
-from .frames import (
-    FrameTrajectory,
-    frame_discrepancy,
-    frame_equivalence_check,
-    transform_wavefunction,
 )
 from .ionization import (
     closed_form_lifetime,
@@ -38,12 +38,6 @@ from .masses import (
     equivalence_holds,
     model_with_asymmetry,
 )
-from .oracle import (
-    degenerate_pt,
-    manifold_matrix,
-    radial_eigensolve,
-    stabilization_scan,
-)
 from .parabolic import (
     ParabolicLevel,
     enumerate_levels,
@@ -54,16 +48,42 @@ from .parabolic import (
 )
 from .separation import (
     FieldSpec,
+    frame_discrepancy,
     separate_gravitational,
     verify_separability,
 )
-from .wavepacket import (
-    PropagationSpec,
-    Wavefunction1D,
-    fidelity,
-    gaussian_packet,
-    mean_momentum,
-    propagate,
-)
+
+_LAZY = {
+    "frames": ("FrameTrajectory", "frame_equivalence_check", "transform_wavefunction"),
+    "oracle": ("degenerate_pt", "manifold_matrix", "radial_eigensolve", "stabilization_scan"),
+    "wavepacket": (
+        "PropagationSpec",
+        "Wavefunction1D",
+        "fidelity",
+        "gaussian_packet",
+        "mean_momentum",
+        "propagate",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + list(_LAZY_MODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,9 @@ kilograms or as dimensionless ratios against the CODATA reference masses;
 ``--config`` points at a JSON file whose keys match the long flag names
 (flags override the file).  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.  Identical inputs produce byte-identical output.
+
+The numerical routes (``oracle``, ``frames``) are imported inside the
+handlers that call them, so the scalar subcommands load no numpy.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ from typing import IO
 
 from .constants import atomic_scale, codata_defaults
 from .errors import EigensolverError, GravstarkError, StableAtomSignal
-from .frames import frame_discrepancy, frame_equivalence_check
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
-from .oracle import degenerate_pt, radial_eigensolve, stabilization_scan
 from .parabolic import evaluate_levels, splitting_table, unperturbed_energy
-from .separation import FieldSpec, separate_gravitational
+from .separation import FieldSpec, frame_discrepancy, separate_gravitational
 from .tables import emit_record, emit_table
 
 EXIT_OK = 0
@@ -132,6 +133,8 @@ def _cmd_separate(args: argparse.Namespace, sink: IO[str]) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace, sink: IO[str]) -> int:
+    from .oracle import radial_eigensolve
+
     energies = radial_eigensolve(args.spacing, args.r_max, args.l, args.count)
     rows = []
     for n, energy in enumerate(energies, start=args.l + 1):
@@ -188,6 +191,8 @@ def _cmd_split(args: argparse.Namespace, sink: IO[str]) -> int:
     if not args.no_oracle:
         if args.n > 4:
             raise ValueError("the dense oracle supports n <= 4; pass --no-oracle for larger n")
+        from .oracle import degenerate_pt
+
         oracle = degenerate_pt(args.n, comp, field, consts)
         for row, shift in zip(rows, _match_oracle(rows, oracle, table.spacing)):
             row["shift_oracle_J"] = shift
@@ -236,6 +241,8 @@ def _cmd_lifetime(args: argparse.Namespace, sink: IO[str]) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace, sink: IO[str]) -> int:
+    from .oracle import stabilization_scan
+
     boxes = [float(piece) for piece in args.boxes.split(",")]
     points = stabilization_scan(
         boxes, args.f_atomic, (args.window[0], args.window[1]), spacing=args.spacing
@@ -254,6 +261,8 @@ def _cmd_stability(args: argparse.Namespace, sink: IO[str]) -> int:
 
 
 def _cmd_frame_check(args: argparse.Namespace, sink: IO[str]) -> int:
+    from .frames import frame_equivalence_check
+
     result = frame_equivalence_check(
         acceleration=args.a,
         total_time=args.time,

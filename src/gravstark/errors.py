@@ -17,10 +17,6 @@ class EigensolverError(GravstarkError):
     """The eigensolver failed or an eigenpair failed its residual certificate."""
 
 
-class QuadratureError(GravstarkError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class NoBarrierError(GravstarkError):
     """Field too strong: turning points merged, no tunneling barrier exists."""
 

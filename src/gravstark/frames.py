@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError, UndefinedRatioError, UnrepresentableError
-from .masses import MassModel, derive_composites
+from .errors import DomainEscapeError
 from .wavepacket import (
     PropagationSpec,
     Wavefunction1D,
@@ -36,9 +35,7 @@ from .wavepacket import (
 
 __all__ = [
     "FrameTrajectory",
-    "FrameDiscrepancy",
     "FrameCheckResult",
-    "frame_discrepancy",
     "transform_wavefunction",
     "frame_equivalence_check",
 ]
@@ -56,38 +53,6 @@ class FrameTrajectory:
     def __post_init__(self) -> None:
         if len(self.acceleration) != 3 or not all(map(math.isfinite, self.acceleration)):
             raise ValueError("acceleration must be a finite 3-vector")
-
-
-@dataclass(frozen=True)
-class FrameDiscrepancy:
-    """How a real field and an equal-magnitude acceleration differ."""
-
-    cm_mass_ratio: float                 # M / Mbar
-    internal_coupling_difference: float  # N, |A| * magnitude
-
-
-def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
-    """Field-versus-acceleration contrast for a field/acceleration of ``magnitude``.
-
-    Raises ``UnrepresentableError`` when the ratio or the coupling difference
-    leaves the float range: not finite, or 0 at nonzero inputs.
-    """
-    if not 0.0 <= magnitude < math.inf:
-        raise ValueError("magnitude must be non-negative and finite")
-    comp = derive_composites(model)
-    if comp.grav_total_mass == 0.0:
-        raise UndefinedRatioError("total gravitational mass is zero; ratio undefined")
-    ratio = comp.total_mass / comp.grav_total_mass
-    coupling = abs(comp.mass_asymmetry) * magnitude
-    if not math.isfinite(ratio) or ratio == 0.0:
-        raise UnrepresentableError(f"cm_mass_ratio is {ratio!r}: outside the float range")
-    if not math.isfinite(coupling) or (
-        coupling == 0.0 and comp.mass_asymmetry != 0.0 and magnitude != 0.0
-    ):
-        raise UnrepresentableError(
-            f"internal_coupling_difference is {coupling!r}: outside the float range"
-        )
-    return FrameDiscrepancy(cm_mass_ratio=ratio, internal_coupling_difference=coupling)
 
 
 def transform_wavefunction(

@@ -9,25 +9,30 @@ r = x - y separates the Hamiltonian exactly into
 
 where A is the mass asymmetry.  ``separate_gravitational`` returns the
 coefficients; ``verify_separability`` checks the operator identity on a dense
-1D two-particle surrogate.
+1D two-particle surrogate.  A uniformly accelerated frame couples to the
+centre of mass alone, with gravitational masses equal to the inertial ones;
+``frame_discrepancy`` reports how a real field of the same magnitude differs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .constants import PhysicalConstants, atomic_scale, codata_defaults
-from .errors import ResourceLimitError, UnrepresentableError
+from .errors import ResourceLimitError, UndefinedRatioError, UnrepresentableError
 from .masses import MassModel, derive_composites
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FieldSpec",
     "SeparatedHamiltonian",
+    "FrameDiscrepancy",
     "separate_gravitational",
+    "frame_discrepancy",
     "verify_separability",
 ]
 
@@ -76,12 +81,36 @@ def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamil
     return SeparatedHamiltonian(**coefficients, coulomb_present=True)
 
 
-def _default_cm(R: np.ndarray) -> np.ndarray:
-    return np.exp(-((R - 0.8) ** 2) / (2.0 * 1.9**2))
+@dataclass(frozen=True)
+class FrameDiscrepancy:
+    """How a real field and an equal-magnitude acceleration differ."""
+
+    cm_mass_ratio: float                 # M / Mbar
+    internal_coupling_difference: float  # N, |A| * magnitude
 
 
-def _default_rel(r: np.ndarray) -> np.ndarray:
-    return np.exp(-((r + 0.5) ** 2) / (2.0 * 1.3**2))
+def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
+    """Field-versus-acceleration contrast for a field/acceleration of ``magnitude``.
+
+    Raises ``UnrepresentableError`` when the ratio or the coupling difference
+    leaves the float range: not finite, or 0 at nonzero inputs.
+    """
+    if not 0.0 <= magnitude < math.inf:
+        raise ValueError("magnitude must be non-negative and finite")
+    comp = derive_composites(model)
+    if comp.grav_total_mass == 0.0:
+        raise UndefinedRatioError("total gravitational mass is zero; ratio undefined")
+    ratio = comp.total_mass / comp.grav_total_mass
+    coupling = abs(comp.mass_asymmetry) * magnitude
+    if not math.isfinite(ratio) or ratio == 0.0:
+        raise UnrepresentableError(f"cm_mass_ratio is {ratio!r}: outside the float range")
+    if not math.isfinite(coupling) or (
+        coupling == 0.0 and comp.mass_asymmetry != 0.0 and magnitude != 0.0
+    ):
+        raise UnrepresentableError(
+            f"internal_coupling_difference is {coupling!r}: outside the float range"
+        )
+    return FrameDiscrepancy(cm_mass_ratio=ratio, internal_coupling_difference=coupling)
 
 
 def verify_separability(
@@ -108,19 +137,23 @@ def verify_separability(
         raise ResourceLimitError("dense separability check limited to 64 points per axis")
     if points_per_axis < 8:
         raise ValueError("need at least 8 points per axis")
+    # Imported here, so that the scalar functions of this module load no numpy.
+    import numpy as np
 
     consts = constants if constants is not None else codata_defaults()
     comp = derive_composites(model)
     scale = atomic_scale(consts, comp.reduced_mass)
 
-    cm = psi_cm if psi_cm is not None else _default_cm
-    rel = psi_rel if psi_rel is not None else _default_rel
+    if psi_cm is None:
+        psi_cm = lambda R: np.exp(-((R - 0.8) ** 2) / (2.0 * 1.9**2))
+    if psi_rel is None:
+        psi_rel = lambda r: np.exp(-((r + 0.5) ** 2) / (2.0 * 1.3**2))
 
     # 1D factor samples on ghost-extended grids; central stencils everywhere.
     step = 2.0 * half_width / (points_per_axis - 1)
     ext = -half_width - step + step * np.arange(points_per_axis + 2)
-    A_ext = np.asarray(cm(ext), dtype=float)
-    B_ext = np.asarray(rel(ext), dtype=float)
+    A_ext = np.asarray(psi_cm(ext), dtype=float)
+    B_ext = np.asarray(psi_rel(ext), dtype=float)
     if np.max(np.abs(A_ext)) == 0.0 or np.max(np.abs(B_ext)) == 0.0:
         return 0.0
 

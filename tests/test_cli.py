@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gravstark.cli import run
+from gravstark.constants import codata_defaults
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -221,8 +222,9 @@ def test_zero_field_split_prints_no_negative_zero(ratio, extra, tmp_path):
 
 def test_oracle_grouping_mismatch_exits_3(monkeypatch, capsys):
     # Two oracle groups against three analytic sublevels at a nonzero field.
+    # The handler imports the oracle when it runs, so patch it at its source.
     monkeypatch.setattr(
-        "gravstark.cli.degenerate_pt", lambda n, *args: [(-1.0e-30, 2), (1.0e-30, 2)]
+        "gravstark.oracle.degenerate_pt", lambda n, *args: [(-1.0e-30, 2), (1.0e-30, 2)]
     )
     code = run(["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"])
     assert code == 3
@@ -248,9 +250,10 @@ def test_unrepresentable_split_exits_3(config, extra, capsys):
     assert "numerical failure" in captured.err
 
 
-@pytest.mark.parametrize("g", ["1e-300", "1e-280", "1e-250", "1e-200"])
+@pytest.mark.parametrize("g", ["1e-300", "1e-280", "1e-250"])
 def test_unrepresentable_lifetime_exits_3(g, tmp_path, capsys):
-    # A nonzero coupling is never reported stable, however weak.
+    # A nonzero coupling is never reported stable, however weak: here the
+    # force, |A| g hbar or the prefactor underflows.
     code = run(["lifetime", "--mbar-e-ratio", "1.1", "--g", g, "--format", "json"])
     err = capsys.readouterr().err
     assert code == 3
@@ -259,6 +262,24 @@ def test_unrepresentable_lifetime_exits_3(g, tmp_path, capsys):
 
     out = invoke(["lifetime", "--mbar-e-ratio", "1.1", "--g", "0", "--format", "json"], tmp_path)
     assert json.loads(out)["stable"] is True
+
+
+@pytest.mark.parametrize("g", ["1e-200", "1e-150"])
+def test_weak_coupling_lifetime_is_finite(g, tmp_path):
+    # The closed-form barrier integral never squares the ~1/F barrier width,
+    # so every number stays in range while the force and prefactor do.
+    record = json.loads(
+        invoke(["lifetime", "--mbar-e-ratio", "1.1", "--g", g, "--format", "json"], tmp_path)
+    )
+    assert record["stable"] is False
+    numbers = [value for value in record.values() if type(value) is float]
+    assert len(numbers) == 8
+    assert all(math.isfinite(value) and value != 0.0 for value in numbers)
+    # In the weak-field limit the WKB exponent is 2/(3F) in units of the
+    # reduced mass, and the closed form's is (m_e/mu)**2 / F.
+    consts = codata_defaults()
+    mu_over_m_e = consts.m_p_ref / (consts.m_e_ref + consts.m_p_ref)
+    assert record["exponent_ratio"] == pytest.approx(2.0 / 3.0 * mu_over_m_e**2, rel=1e-12)
 
 
 @pytest.mark.parametrize(

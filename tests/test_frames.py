@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from gravstark.errors import DomainEscapeError, UndefinedRatioError
 from gravstark.frames import (
     FrameTrajectory,
-    frame_discrepancy,
     frame_equivalence_check,
     transform_wavefunction,
 )
 from gravstark.masses import MassModel, derive_composites
-from gravstark.separation import FieldSpec, separate_gravitational
+from gravstark.separation import FieldSpec, frame_discrepancy, separate_gravitational
 from gravstark.wavepacket import _free_evolution, gaussian_packet, fidelity
 
 

@@ -1,8 +1,8 @@
-"""The package imports scipy only inside the solvers that need it, and
-exports exactly its agreed public names.
+"""The package imports numpy and scipy only inside the routes that need
+them, and exports exactly its agreed public names.
 
-Each scipy check runs in a fresh interpreter, because ``sys.modules`` of the
-test process already holds scipy from other test modules.
+Each import check runs in a fresh interpreter, because ``sys.modules`` of the
+test process already holds numpy and scipy from other test modules.
 """
 
 import json
@@ -12,12 +12,14 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import gravstark
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Subcommands that must finish without loading any scipy module;
-# `lifetime` at zero field takes the stable path and never reaches the WKB quadrature;
+# `lifetime` evaluates its barrier integral in closed form;
 # the n = 1 oracle manifold is zero by parity and solves no radial grid.
 SCIPY_FREE_COMMANDS = {
     "constants": ["constants"],
@@ -25,32 +27,47 @@ SCIPY_FREE_COMMANDS = {
     "frame-diff": ["frame-diff", "--mbar-e-ratio", "1.1"],
     "frame-check": ["frame-check", "--time", "0.5", "--grid", "512", "--steps", "256"],
     "lifetime-stable": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "0"],
+    "lifetime": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "9.8"],
     "split-n1": ["split", "--n", "1", "--mbar-e-ratio", "1.1", "--g", "9.8"],
+}
+
+# Subcommands that do scalar arithmetic only and must load neither numpy nor scipy.
+NUMPY_FREE_COMMANDS = {
+    "constants": ["constants"],
+    "separate": ["separate", "--mbar-e-ratio", "1.1"],
+    "frame-diff": ["frame-diff", "--mbar-e-ratio", "1.1"],
+    "lifetime-stable": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "0"],
+    "lifetime": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "9.8"],
+    "split-no-oracle": ["split", "--n", "3", "--mbar-e-ratio", "1.1", "--no-oracle"],
+    "split-per-state": ["split", "--n", "3", "--mbar-e-ratio", "1.1", "--per-state"],
 }
 
 PROBE = """
 import json, os, sys
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+commands, families = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] in families)
 
 report = {}
 import gravstark
-report["import gravstark"] = scipy_modules()
+report["import gravstark"] = loaded()
 import gravstark.cli
-report["import gravstark.cli"] = scipy_modules()
-for label, argv in json.loads(sys.argv[1]).items():
+report["import gravstark.cli"] = loaded()
+for label, argv in commands.items():
     code = gravstark.cli.run([*argv, "--output", os.devnull])
-    report[label] = scipy_modules() if code == 0 else f"exit {code}"
+    report[label] = loaded() if code == 0 else f"exit {code}"
 print(json.dumps(report))
 """
 
 
-def test_import_and_scipy_free_commands_load_no_scipy():
+def probe(commands: dict, families: list[str]) -> dict:
+    """Per stage, the modules of ``families`` loaded after running it in one fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(SCIPY_FREE_COMMANDS)],
+        [sys.executable, "-c", PROBE, json.dumps(commands), json.dumps(families)],
         capture_output=True,
         text=True,
         env=env,
@@ -58,7 +75,17 @@ def test_import_and_scipy_free_commands_load_no_scipy():
         timeout=120,
     )
     report = json.loads(done.stdout)
-    assert list(report) == ["import gravstark", "import gravstark.cli", *SCIPY_FREE_COMMANDS]
+    assert list(report) == ["import gravstark", "import gravstark.cli", *commands]
+    return report
+
+
+def test_import_and_scipy_free_commands_load_no_scipy():
+    report = probe(SCIPY_FREE_COMMANDS, ["scipy"])
+    assert report == {stage: [] for stage in report}
+
+
+def test_import_and_scalar_commands_load_no_numpy():
+    report = probe(NUMPY_FREE_COMMANDS, ["numpy", "scipy"])
     assert report == {stage: [] for stage in report}
 
 
@@ -81,16 +108,24 @@ PUBLIC_NAMES = {
     # errors
     "BoundaryEscapeError", "DomainEscapeError", "EigensolverError", "EmptyWindowError",
     "GravstarkError", "GridResolutionError", "NoBarrierError", "PropagationError",
-    "QuadratureError", "ResourceLimitError", "StabilityBoundError", "StableAtomSignal",
+    "ResourceLimitError", "StabilityBoundError", "StableAtomSignal",
     "UndefinedRatioError", "UnrepresentableError",
 }
 
 
 def test_package_exports_exactly_the_public_names():
+    assert len(PUBLIC_NAMES) == 48
+    assert set(gravstark.__all__) == PUBLIC_NAMES
+    assert len(gravstark.__all__) == len(PUBLIC_NAMES)
+    # Lazily exported names resolve on first access and then sit in the
+    # namespace like the eager ones; nothing else public is left there.
+    for name in PUBLIC_NAMES:
+        assert getattr(gravstark, name).__name__ == name
+    with pytest.raises(AttributeError):
+        gravstark.no_such_name
     exported = {
         name
         for name, value in vars(gravstark).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 49
     assert exported == PUBLIC_NAMES

@@ -1,17 +1,26 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gravstark import ionization
 from gravstark.constants import atomic_scale
 from gravstark.errors import NoBarrierError, StableAtomSignal
 from gravstark.ionization import (
+    _barrier_exponent,
+    _barrier_turning_points,
     closed_form_lifetime,
     compare_lifetimes,
     wkb_rate,
 )
 from gravstark.masses import derive_composites, model_with_asymmetry
 from gravstark.separation import FieldSpec
+
+try:
+    import mpmath
+except ImportError:  # a test-side reference only
+    mpmath = None
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +104,6 @@ def test_lifetime_monotone_decreasing_in_force(consts, electron_asymmetry):
 
 def test_turning_points_match_quadratic_roots(consts, electron_asymmetry):
     # independent closed form: the turning points solve F x^2 - x/2 + 1 = 0
-    from gravstark.ionization import _barrier_turning_points
-
     for force in (1e-5, 1e-4, 1e-3):
         inner, outer = _barrier_turning_points(force)
         disc = math.sqrt(1.0 - 16.0 * force)
@@ -120,6 +127,71 @@ def test_exponent_against_raw_quadrature(consts, electron_asymmetry):
         limit=400,
     )
     assert exponent == pytest.approx(raw, rel=1e-7)
+
+
+def _mpmath_exponent(force: float, inner: float, outer: float):
+    """(4/3) sqrt(2 F b) [(a+b) E(m) - 2a K(m)], m = 1 - a/b, at 40 digits.
+
+    K(m) comes from mpmath's AGM and E(m) from Legendre's relation with
+    mpmath's K and E at the complementary parameter a/b: ``ellipk(m)``
+    itself would round m = 1 - 1e-150 to 1.
+    """
+    mp = mpmath.mp
+    with mp.workdps(40):
+        a, b, f = mp.mpf(inner), mp.mpf(outer), mp.mpf(force)
+        p = a / b
+        k = mp.pi / (2 * mp.agm(1, mp.sqrt(p)))
+        k_comp, e_comp = mp.ellipk(p), mp.ellipe(p)
+        e = (mp.pi / 2 + k * (k_comp - e_comp)) / k_comp
+        return mp.mpf(4) / 3 * mp.sqrt(2 * f * b) * ((a + b) * e - 2 * a * k)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath is the 40-digit reference")
+@settings(max_examples=200)
+@given(log10_force=st.floats(min_value=-300.0, max_value=-2.0))
+def test_closed_form_exponent_matches_40_digits(log10_force):
+    force = 10.0**log10_force
+    reference = _mpmath_exponent(force, *_barrier_turning_points(force))
+    assert abs(_barrier_exponent(force) / reference - 1) <= 1e-15
+
+
+@settings(max_examples=50)
+@given(log10_force=st.floats(min_value=-12.0, max_value=-2.0))
+def test_closed_form_exponent_matches_quadrature(log10_force):
+    # x = a + (b - a) sin^2(theta) removes both endpoint square roots.
+    force = 10.0**log10_force
+    inner, outer = _barrier_turning_points(force)
+    width = outer - inner
+
+    def integrand(theta):
+        s, c = math.sin(theta), math.cos(theta)
+        return 4.0 * width**2 * math.sqrt(2.0 * force / (inner + width * s * s)) * (s * c) ** 2
+
+    value, _ = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
+    assert _barrier_exponent(force) == pytest.approx(value, rel=1e-8)
+
+
+def test_agm_stops_where_a_tight_test_would_spin(monkeypatch):
+    # At this force rounding holds |x - y| above 1e-16 x for ever; the stop
+    # test must still end each mean within a dozen halvings.
+    force = 3.1922691908680104e-14
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sqrt(self, x):
+            calls.append(x)
+            assert len(calls) < 100, "AGM did not converge"
+            return math.sqrt(x)
+
+    inner, outer = _barrier_turning_points(force)
+    monkeypatch.setattr(ionization, "math", CountingMath())
+    k, e = ionization._complete_elliptic(inner / outer)
+    # two starting roots, then one per halving of each mean
+    assert len(calls) <= 2 + 2 * 12
+    assert math.isfinite(k) and math.isfinite(e)
 
 
 def test_exponent_scale_matches_inverse_force(consts, electron_asymmetry):
