@@ -55,7 +55,7 @@ from .separation import (
 
 _LAZY = {
     "frames": ("FrameTrajectory", "frame_equivalence_check", "transform_wavefunction"),
-    "oracle": ("degenerate_pt", "manifold_matrix", "radial_eigensolve", "stabilization_scan"),
+    "oracle": ("degenerate_pt", "radial_eigensolve", "stabilization_scan"),
     "wavepacket": (
         "PropagationSpec",
         "Wavefunction1D",

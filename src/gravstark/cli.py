@@ -189,8 +189,6 @@ def _cmd_split(args: argparse.Namespace, sink: IO[str]) -> int:
         for sub in table.sublevels
     ]
     if not args.no_oracle:
-        if args.n > 4:
-            raise ValueError("the dense oracle supports n <= 4; pass --no-oracle for larger n")
         from .oracle import degenerate_pt
 
         oracle = degenerate_pt(args.n, comp, field, consts)
@@ -426,7 +424,7 @@ def run(argv: list[str]) -> int:
     except StableAtomSignal as exc:  # pragma: no cover - commands report, not raise
         print(f"stable: {exc}", file=sys.stderr)
         return EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:   # OSError: an --output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GravstarkError as exc:

@@ -147,6 +147,8 @@ def frame_equivalence_check(
     path reaches the grid edge at a checked step, or with ``DomainEscapeError``
     when the final frame shift of path A would carry its support off the grid.
     """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     trajectory = FrameTrajectory(acceleration=(0.0, 0.0, float(acceleration)))
     initial = gaussian_packet(
         x_min, x_max, grid_points, center=center, sigma=sigma, momentum=momentum

@@ -1,24 +1,32 @@
-"""Grid-based spectral machinery that cross-checks the closed forms.
+"""Spectral machinery that cross-checks the closed forms.
 
 Everything here works in Hartree atomic units of whichever reduced mass the
 caller's unit scale was built from: lengths in Bohr radii, energies in
-Hartree.  The radial equation for u(r) = r R(r),
+Hartree.  ``radial_eigensolve`` discretizes the radial equation for
+u(r) = r R(r),
 
     -(1/2) u'' + [ l(l+1)/(2 r^2) - 1/r ] u = E u,
 
-is discretized with second-order central differences on a uniform grid whose
-first point sits one spacing away from the origin, so the left Dirichlet
-ghost node lies exactly at r = 0.  Quoted energies are Richardson
-extrapolated over spacings h and h/2.
+with second-order central differences on a uniform grid whose first point
+sits one spacing away from the origin, so the left Dirichlet ghost node lies
+exactly at r = 0.  Quoted energies are Richardson extrapolated over spacings
+h and h/2.
 
-The n-manifold dipole matrix is assembled in the spherical (n, l, m) basis
-from numerically computed radial states, diagonalized, and grouped into
-distinct shifts; the closed-form splitting emerges from the diagonalization
-instead of being assumed.  ``stabilization_scan`` diagnoses bound versus
-continuum character by diagonalizing a half-axis model with a hard wall at
-increasing box sizes: continuum level spacings shrink towards 1/sqrt(L), as the
-semiclassical density of states (the integral of dx/p) grows like sqrt(L);
-bound levels converge.
+The n-manifold's first-order splitting is the spectrum of -A g z within the
+manifold, and the closed form emerges from diagonalizing it instead of being
+assumed.  Its radial states come from a Laguerre basis t^(l+1) e^(-t/2) p_k(t),
+t = 2r/nu, whose scale nu = 1.237 n deliberately differs from the states' own
+decay length n (Rotenberg 1962; Baye 2015), by Cholesky reduction and a
+symmetric eigensolve; the radial dipoles <n l|r|n l+1> follow by Gauss
+quadrature, and z splits into one tridiagonal block of size n - |m| per m.
+That numpy-only route covers every n up to ``MAX_PRINCIPAL``, and its
+dimensionless spectrum is memoized per n.
+
+``stabilization_scan`` diagnoses bound versus continuum character by
+diagonalizing a half-axis model with a hard wall at increasing box sizes:
+continuum level spacings shrink towards 1/sqrt(L), as the semiclassical
+density of states (the integral of dx/p) grows like sqrt(L); bound levels
+converge.
 
 The scan's values are those of one value-mode bisection over the window
 widened by 0.6 Hartree on each side, yet it solves only tree nodes of that
@@ -38,19 +46,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import PhysicalConstants, atomic_scale
+from .constants import PhysicalConstants
 from .errors import (
     EigensolverError,
     EmptyWindowError,
     GridResolutionError,
+    UnrepresentableError,
 )
 from .masses import CompositeMasses
+from .parabolic import MAX_PRINCIPAL
 from .separation import FieldSpec
 
 __all__ = [
     "ScanPoint",
     "radial_eigensolve",
-    "manifold_matrix",
     "degenerate_pt",
     "stabilization_scan",
 ]
@@ -58,6 +67,9 @@ __all__ = [
 RESIDUAL_CERTIFICATE = 1e-10   # per eigenpair, relative to a norm bound of H
 DISCRETIZATION_GATE = 1e-5     # Hartree, estimated truncation error per level
 GROUPING_REL_TOL = 1e-10       # relative tolerance for merging equal shifts
+LEVEL_GATE = 1e-12             # relative error allowed on -1/(2 n^2) of a basis state
+_BASIS_SCALE = 1.237           # Laguerre scale nu over n: unmatched to the states' decay
+_BASIS_MARGIN = 40             # basis functions beyond the n - l of the wanted state
 _SCAN_MARGIN = 0.6             # Hartree searched beyond each side of a scan window
 _SCAN_START_DEPTH = 8          # bisection-tree level of a scan's first, narrowest solves
 
@@ -155,69 +167,112 @@ def _angular_z_factor(l_low: int, m: int) -> float:
     return math.sqrt((l_up**2 - m**2) / ((2.0 * l_low + 1.0) * (2.0 * l_low + 3.0)))
 
 
-def _manifold_basis(n: int) -> list[tuple[int, int]]:
-    return [(l, m) for l in range(n) for m in range(-l, l + 1)]
+def _laguerre(alpha: float, size: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal generalized Laguerre polynomials of degree < ``size`` at t,
+    times sqrt(Gamma(alpha + 1)) so that degree 0 is 1, and their t-derivatives.
+
+    Row k holds degree k, from the three-term recurrence of the Jacobi matrix.
+    """
+    values = np.zeros((size, t.size))
+    slopes = np.zeros((size, t.size))
+    values[0] = 1.0
+    for k in range(size - 1):   # at k = 0, row -1 is still all zeros
+        below = math.sqrt(k * (k + alpha))
+        above = math.sqrt((k + 1) * (k + 1 + alpha))
+        shifted = t - (2.0 * k + alpha + 1.0)
+        values[k + 1] = (shifted * values[k] - below * values[k - 1]) / above
+        slopes[k + 1] = (values[k] + shifted * slopes[k] - below * slopes[k - 1]) / above
+    return values, slopes
+
+
+def _radial_channel(n: int, l: int, nu: float):
+    """The radial state (n, l) in a Laguerre basis of scale ``nu``.
+
+    u(r) = sqrt(2/nu) t^(l+1) e^(-t/2) sum_k c_k p_k(t), t = 2r/nu, with p_k
+    orthonormal for the weight t^(2l+2) e^-t.  Every matrix element is a
+    polynomial against t^(2l) e^-t, integrated exactly by that weight's Gauss
+    rule with one node more than the basis.  The (n - l)-th lowest Ritz pair
+    is kept and certified against -1/(2 n^2).
+
+    Returns (c, t, rule, basis) with the nodes t_j, rule[k, j] =
+    sqrt(w_j) p_k^(2l)(t_j) and basis[k, j] = sqrt(w_j) p_k(t_j).  The
+    Christoffel numbers w_j = 1 / sum_k p_k^(2l)(t_j)^2 span hundreds of
+    decades, so w_j is never formed alone.
+    """
+    size = n - l + _BASIS_MARGIN
+    alpha = 2.0 * l
+    k = np.arange(size + 1)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    t = np.linalg.eigvalsh(jacobi)   # Golub & Welsch: the nodes are its eigenvalues
+    rule, _ = _laguerre(alpha, size + 1, t)
+    root_sum = np.sqrt(np.sum(rule * rule, axis=0))
+    rule /= root_sum
+    basis, slopes = _laguerre(alpha + 2.0, size, t)
+    scale = root_sum * math.sqrt((alpha + 1.0) * (alpha + 2.0))
+    basis, slopes = basis / scale, slopes / scale
+    # d/dt [t^(l+1) e^(-t/2) p] = t^l e^(-t/2) [(l + 1 - t/2) p + t p']
+    grad = (l + 1.0 - 0.5 * t) * basis + t * slopes
+    overlap = (basis * t * t) @ basis.T
+    # nu^2/2 times the Hamiltonian: kinetic, centrifugal and Coulomb terms
+    hamiltonian = grad @ grad.T + l * (l + 1.0) * (basis @ basis.T) - nu * ((basis * t) @ basis.T)
+    lower = np.linalg.cholesky(overlap)
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, hamiltonian).T)
+    values, vectors = np.linalg.eigh(reduced)
+    index = n - l - 1
+    error = abs(values[index] * (2.0 * n / nu) ** 2 + 1.0)
+    if error > LEVEL_GATE:
+        raise EigensolverError(
+            f"Laguerre basis resolves level n = {n}, l = {l} only to {error:.2e} relative"
+        )
+    return np.linalg.solve(lower.T, vectors[:, index]), t, rule, basis
+
+
+def _radial_dipoles(n: int) -> list[float]:
+    """<n l| r |n l+1> in Bohr radii for l = 0 .. n-2, by Gauss quadrature.
+
+    u_l u_(l+1) r dr = (nu/2) t^(2l+4) e^-t f_l f_(l+1) dt: on the upper
+    channel's rule (weight t^(2l+2) e^-t) f_l lies in the rule's own family,
+    and the lower basis has as many functions as that rule has nodes, so the
+    degree-(2 size - 1) integrand is integrated exactly.
+    """
+    nu = _BASIS_SCALE * n
+    channels = [_radial_channel(n, l, nu) for l in range(n)]
+    dipoles = []
+    for (low, *_), (up, t, rule, basis) in zip(channels, channels[1:]):
+        dipoles.append(0.5 * nu * float(np.sum(t * t * (low @ rule) * (up @ basis))))
+    return dipoles
 
 
 @lru_cache(maxsize=None)
-def _manifold_radial(n: int, spacing: float, r_max: float) -> tuple[float, ...]:
-    """Radial overlaps of u_{n,l} u_{n,l+1} r for l = 0..n-2 at one grid spacing.
+def _manifold_spectrum(n: int) -> tuple[tuple[float, int], ...]:
+    """Distinct eigenvalues of z within the n-manifold, in Bohr radii, ascending,
+    with multiplicities.
 
-    Memoized: the grids depend only on (n, spacing, r_max), never on the masses
-    or the field, so repeat manifolds in one process skip every grid solve.
-    Only these floats are kept, not the eigenvectors behind them.
+    z couples l to l +- 1 at fixed m, so the n^2 states split into one
+    tridiagonal block of size n - |m| per m, and blocks m and -m coincide.
+    Memoized: the spectrum depends on n alone, never on the masses or the
+    field.
     """
-    if n == 1:
-        # The 1x1 manifold is zero by parity; no radial state enters it.
-        return ()
-    u_states = {}
-    r = None
-    for l in range(n):
-        _, vectors, r = _solve_radial(spacing, r_max, l, n - l)
-        u_states[l] = vectors[:, n - l - 1]
-    return tuple(
-        float(np.trapezoid(u_states[l] * u_states[l + 1] * r, dx=spacing))
-        for l in range(n - 1)
-    )
-
-
-def _manifold_entries(n: int, force_atomic_units: float, spacing: float, r_max: float) -> np.ndarray:
-    """Matrix of -F z within the n-manifold at one grid spacing, in Hartree."""
-    radial = _manifold_radial(n, spacing, r_max)
-    basis = _manifold_basis(n)
-    index = {p: i for i, p in enumerate(basis)}
-    z = np.zeros((len(basis), len(basis)))
-    for l in range(n - 1):
-        for m in range(-l, l + 1):
-            value = radial[l] * _angular_z_factor(l, m)
-            i, j = index[(l, m)], index[(l + 1, m)]
-            z[i, j] = value
-            z[j, i] = value
-    return -force_atomic_units * z
-
-
-def _default_manifold_grid(n: int) -> tuple[float, float]:
-    return 0.02, max(80.0, 40.0 * n)
-
-
-def manifold_matrix(
-    n: int,
-    composites: CompositeMasses,
-    field: FieldSpec,
-    constants: PhysicalConstants,
-    spacing: float | None = None,
-    r_max: float | None = None,
-) -> np.ndarray:
-    """The (n^2, n^2) coupling matrix of the n-manifold in the spherical (l, m)
-    basis, in Hartree."""
-    if not 1 <= n <= 4:
-        raise ValueError("dense manifold construction supports n in 1..4")
-    h0, box = _default_manifold_grid(n)
-    spacing = h0 if spacing is None else spacing
-    r_max = box if r_max is None else r_max
-    scale = atomic_scale(constants, composites.reduced_mass)
-    force = composites.mass_asymmetry * field.magnitude / scale.force_atomic
-    return _manifold_entries(n, force, spacing, r_max)
+    dipoles = _radial_dipoles(n)
+    values: list[float] = []
+    for m in range(n):
+        off = np.array([dipoles[l] * _angular_z_factor(l, m) for l in range(m, n - 1)])
+        block = np.diag(off, 1) + np.diag(off, -1)
+        values += list(np.linalg.eigvalsh(block)) * (1 if m == 0 else 2)
+    ordered = np.sort(values)
+    # A tridiagonal block with zero diagonal has a spectrum symmetric about 0,
+    # so each value pairs with its mirror image; averaging the pair makes the
+    # k = 0 group exactly 0 and the groups exact negatives of each other.
+    ordered = 0.5 * (ordered - ordered[::-1])
+    tol = GROUPING_REL_TOL * float(ordered[-1])
+    groups = []
+    start = 0
+    for i in range(1, len(ordered) + 1):
+        if i == len(ordered) or ordered[i] - ordered[i - 1] > tol:
+            groups.append((math.fsum(ordered[start:i]) / (i - start), i - start))
+            start = i
+    return tuple(groups)
 
 
 def degenerate_pt(
@@ -225,50 +280,40 @@ def degenerate_pt(
     composites: CompositeMasses,
     field: FieldSpec,
     constants: PhysicalConstants,
-    spacing: float | None = None,
-    r_max: float | None = None,
 ) -> list[tuple[float, int]]:
-    """Distinct first-order shifts (J) with multiplicities from dense diagonalization.
+    """Distinct first-order shifts (J) with multiplicities from diagonalizing
+    -A g z within the n-manifold.
 
-    Builds the n-manifold coupling matrix from numerically computed radial
-    states at three nested spacings, diagonalizes each, extrapolates the
-    sorted eigenvalues, and merges shifts that agree to ``GROUPING_REL_TOL``
-    of the largest one.  Returned shifts ascend.
-
-    The radial overlaps behind each matrix are memoized per process, keyed by
-    (n, spacing, r_max); the masses and the field do not enter the key, so a
-    repeat call at the same n and grid runs no grid solve.  A fresh process
-    (one CLI call) still pays the full solve.  At n = 1 the manifold is zero
-    by parity and no grid is solved.
+    The eigenvalues lambda of z (Bohr radii) come from ``_manifold_spectrum``,
+    memoized per n, so a repeat n runs no basis build, quadrature or
+    eigensolve, whatever the masses and the field.  Each call scales them to
+    joules as -(A g a_mu) lambda, with a_mu = hbar / (mu alpha c), factor by
+    factor through ``frexp`` so that no partial product over- or underflows
+    where the shift itself is representable.  Returned shifts ascend; at n = 1
+    (zero by parity) and at zero coupling the result is ``[(0.0, n^2)]``.
     """
-    if spacing is None:
-        spacing, _ = _default_manifold_grid(n)
-    scale = atomic_scale(constants, composites.reduced_mass)
-
-    def sorted_shifts(h: float) -> np.ndarray:
-        matrix = manifold_matrix(n, composites, field, constants, h, r_max)
-        return np.sort(np.linalg.eigvalsh(matrix))
-
-    s_h = sorted_shifts(spacing)
-    s_h2 = sorted_shifts(spacing / 2.0)
-    s_h4 = sorted_shifts(spacing / 4.0)
-    # Two Richardson stages: the first removes the h^2 error, the second the
-    # next surviving order.
-    first_a = (4.0 * s_h2 - s_h) / 3.0
-    first_b = (4.0 * s_h4 - s_h2) / 3.0
-    shifts = (8.0 * first_b - first_a) / 7.0
-
-    # Purely relative: an absolute floor would merge every shift of a weak
-    # coupling into one group.  At zero coupling all shifts are exactly 0.
-    tol = GROUPING_REL_TOL * float(np.max(np.abs(shifts)))
-    groups: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(shifts) + 1):
-        if i == len(shifts) or shifts[i] - shifts[i - 1] > tol:
-            block = shifts[start:i]
-            groups.append((float(np.mean(block)) * scale.energy_hartree, len(block)))
-            start = i
-    return groups
+    if not 1 <= n <= MAX_PRINCIPAL:
+        raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
+    if not composites.reduced_mass > 0.0:
+        raise ValueError("reduced mass must be strictly positive")
+    # -A g a_mu with a_mu = hbar / (mu alpha c), carried as mantissa * 2**exponent.
+    mantissa, exponent = -1.0, 0
+    for factor in (composites.mass_asymmetry, field.magnitude, constants.hbar):
+        part, power = math.frexp(factor)
+        mantissa, exponent = mantissa * part, exponent + power
+    for factor in (composites.reduced_mass, constants.alpha, constants.c):
+        part, power = math.frexp(factor)
+        mantissa, exponent = mantissa / part, exponent - power
+    if n == 1 or mantissa == 0.0:
+        return [(0.0, n * n)]
+    try:
+        shifts = [
+            (math.ldexp(mantissa * value, exponent) + 0.0, count)
+            for value, count in _manifold_spectrum(n)
+        ]
+    except OverflowError:
+        raise UnrepresentableError(f"oracle shifts at n = {n} exceed the float range") from None
+    return shifts if mantissa > 0.0 else shifts[::-1]
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,30 @@ def test_invalid_n_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_oracle_requires_small_n(capsys):
-    assert run(["split", "--n", "6", "--format", "csv"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "config",
+    [
+        ["--n", "7", "--mbar-e-ratio", "1.1"],
+        ["--n", "50", "--mbar-e-ratio", "1.1"],
+        # A g a_mu is 5e290 J: the force in atomic units would overflow.
+        ["--n", "2", "--mbar-e", "1e300"],
+    ],
+    ids=["n7", "n50", "huge-mbar-e"],
+)
+def test_oracle_covers_every_accepted_n(config, tmp_path, capsys):
+    out = invoke(["split", *config, "--format", "json"], tmp_path)
+    assert capsys.readouterr().err == ""
+    rows = json.loads(out)
+    assert len(rows) == 2 * int(config[1]) - 1
+    scale = max(abs(row["shift_J"]) for row in rows)
+    for row in rows:
+        assert abs(row["shift_oracle_J"] - row["shift_J"]) <= 1e-11 * scale
+
+
+def test_oracle_beyond_the_largest_n_exits_2(capsys):
+    assert run(["split", "--n", "51", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: principal quantum number must be in 1..50\n"
 
 
 def test_large_n_without_oracle(tmp_path):
@@ -328,6 +349,35 @@ def test_unusable_spectrum_grid_exits_2(flags, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_frame_check_without_steps_exits_2(steps, capsys):
+    assert run(["frame-check", "--grid", "512", "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steps must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants"],
+        ["separate", "--mbar-e-ratio", "1.1"],
+        ["split", "--n", "2", "--mbar-e-ratio", "1.1"],
+        ["frame-diff", "--mbar-e-ratio", "1.1"],
+    ],
+    ids=["constants", "separate", "split", "frame-diff"],
+)
+def test_unopenable_output_exits_2(argv, tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.csv"
+    assert run([*argv, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(target) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_frame_check_escape_exits_3(capsys):

@@ -19,8 +19,8 @@ import gravstark
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Subcommands that must finish without loading any scipy module;
-# `lifetime` evaluates its barrier integral in closed form;
-# the n = 1 oracle manifold is zero by parity and solves no radial grid.
+# `lifetime` evaluates its barrier integral in closed form, and the `split`
+# oracle builds its Laguerre basis with numpy alone at every n.
 SCIPY_FREE_COMMANDS = {
     "constants": ["constants"],
     "separate": ["separate", "--mbar-e-ratio", "1.1"],
@@ -29,6 +29,8 @@ SCIPY_FREE_COMMANDS = {
     "lifetime-stable": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "0"],
     "lifetime": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "9.8"],
     "split-n1": ["split", "--n", "1", "--mbar-e-ratio", "1.1", "--g", "9.8"],
+    "split-n2": ["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"],
+    "split-n4": ["split", "--n", "4", "--mbar-e-ratio", "1.1", "--g", "9.8"],
 }
 
 # Subcommands that do scalar arithmetic only and must load neither numpy nor scipy.
@@ -101,7 +103,7 @@ PUBLIC_NAMES = {
     "splitting_table", "unperturbed_energy", "closed_form_lifetime", "compare_lifetimes",
     "wkb_rate",
     # numerical routes
-    "degenerate_pt", "manifold_matrix", "radial_eigensolve", "stabilization_scan",
+    "degenerate_pt", "radial_eigensolve", "stabilization_scan",
     "FrameTrajectory", "frame_discrepancy", "frame_equivalence_check",
     "transform_wavefunction", "PropagationSpec", "Wavefunction1D", "fidelity",
     "gaussian_packet", "mean_momentum", "propagate",
@@ -114,7 +116,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the

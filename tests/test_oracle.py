@@ -10,11 +10,10 @@ from gravstark.errors import EigensolverError, EmptyWindowError, GridResolutionE
 from gravstark.masses import CompositeMasses, MassModel, derive_composites
 from gravstark.oracle import (
     _angular_z_factor,
-    _manifold_basis,
-    _manifold_radial,
+    _manifold_spectrum,
+    _radial_dipoles,
     _solve_radial,
     degenerate_pt,
-    manifold_matrix,
     radial_eigensolve,
     stabilization_scan,
 )
@@ -147,38 +146,31 @@ def test_quad_oracle_value():
 
 
 def test_2s_2p_element_magnitude():
-    # The manifold builder's l = 0 -> 1 overlap times the m = 0 angular factor.
-    expected = quad_oracle_2s_2p()
-
-    def element(spacing: float) -> float:
-        return _manifold_radial(2, spacing, 80.0)[0] * _angular_z_factor(0, 0)
-
-    coarse, fine = element(0.005), element(0.0025)
-    extrapolated = (4.0 * fine - coarse) / 3.0
-    assert extrapolated == pytest.approx(expected, abs=1e-7)
-    assert abs(extrapolated) == pytest.approx(3.0, abs=1e-7)
+    # The manifold's l = 0 -> 1 radial dipole times the m = 0 angular factor.
+    # An eigenvector's sign is arbitrary, and the spectrum of a zero-diagonal
+    # tridiagonal block depends on the squares of its entries only.
+    element = _radial_dipoles(2)[0] * _angular_z_factor(0, 0)
+    assert abs(element) == pytest.approx(abs(quad_oracle_2s_2p()), abs=1e-12)
 
 
-def _coupled_pairs(n: int, consts) -> set:
-    """(l, m) pairs joined by a nonzero entry of the n-manifold matrix."""
-    matrix = manifold_matrix(n, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
-    basis = _manifold_basis(n)
-    return {(basis[i], basis[j]) for i, j in zip(*np.nonzero(matrix))}
+@pytest.mark.parametrize("n", [3, 7, 50])
+def test_radial_dipoles_match_the_hydrogen_closed_form(n):
+    # <n l|r|n l+1> = (3/2) n sqrt(n^2 - (l+1)^2) (Bethe & Salpeter, eq. 63.2)
+    dipoles = _radial_dipoles(n)
+    assert len(dipoles) == n - 1
+    for l, value in enumerate(dipoles):
+        exact = 1.5 * n * math.sqrt(n * n - (l + 1) ** 2)
+        assert abs(abs(value) - exact) <= 1e-12 * 1.5 * n * n
 
 
-def test_parity_selection_rule(consts):
-    # z is odd: it joins l to l +- 1 only, never a state to itself; every
-    # such pair with |m| <= min(l) is coupled.
-    for n in (1, 2, 3, 4):
-        pairs = _coupled_pairs(n, consts)
-        assert all(abs(a[0] - b[0]) == 1 for a, b in pairs)
-        assert len(pairs) == 2 * sum(2 * l + 1 for l in range(n - 1))
-
-
-def test_delta_m_selection_rule(consts):
-    # z commutes with L_z: no entry joins different m.
-    for n in (2, 3, 4):
-        assert all(a[1] == b[1] for a, b in _coupled_pairs(n, consts))
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_manifold_spectrum_is_exactly_symmetric(n):
+    # z is odd under parity: the groups pair off as exact negatives around an
+    # exact zero, and their multiplicities fill the n^2 states.
+    groups = _manifold_spectrum(n)
+    assert [value for value, _ in groups] == [-value for value, _ in reversed(groups)]
+    assert groups[n - 1][0] == 0.0
+    assert sum(count for _, count in groups) == n * n
 
 
 # --- manifold diagonalization -------------------------------------------------
@@ -192,13 +184,6 @@ def _composites(asymmetry: float) -> CompositeMasses:
     )
 
 
-def test_manifold_matrix_symmetric_traceless(consts):
-    entries = manifold_matrix(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
-    assert entries.shape == (9, 9)
-    assert np.max(np.abs(entries - entries.T)) <= 1e-12 * np.max(np.abs(entries))
-    assert abs(np.trace(entries)) == 0.0
-
-
 def test_degenerate_pt_n2_structure(consts):
     comp = _composites(9.109e-31)
     field = FieldSpec(magnitude=9.8)
@@ -206,9 +191,9 @@ def test_degenerate_pt_n2_structure(consts):
     assert [mult for _, mult in groups] == [1, 2, 1]
     force = comp.mass_asymmetry * field.magnitude
     bohr = consts.hbar / (comp.reduced_mass * consts.c * consts.alpha)
-    assert groups[0][0] == pytest.approx(-3.0 * force * bohr, rel=1e-6)
-    assert groups[1][0] == pytest.approx(0.0, abs=1e-8 * abs(groups[0][0]))
-    assert groups[2][0] == pytest.approx(3.0 * force * bohr, rel=1e-6)
+    assert groups[0][0] == pytest.approx(-3.0 * force * bohr, rel=1e-12)
+    assert groups[1][0] == 0.0
+    assert groups[2][0] == pytest.approx(3.0 * force * bohr, rel=1e-12)
 
 
 def test_degenerate_pt_n1_single_zero(consts):
@@ -222,11 +207,32 @@ def test_degenerate_pt_zero_asymmetry(consts):
 
 
 def test_degenerate_pt_rejects_large_n(consts):
-    with pytest.raises(ValueError):
-        degenerate_pt(5, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
+    for n in (0, 51):
+        with pytest.raises(ValueError, match="1..50"):
+            degenerate_pt(n, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def test_degenerate_pt_scales_huge_and_tiny_couplings(consts):
+    # A g reaches 1e301, or is subnormal while a tiny reduced mass stretches
+    # the Bohr radius to 5e209 m: no partial product leaves the float range.
+    for asymmetry, g, reduced_mass in [(1e300, 9.8, 9.109e-31), (1e-300, 1e-20, 1e-250)]:
+        comp = CompositeMasses(
+            total_mass=1.674e-27,
+            reduced_mass=reduced_mass,
+            grav_total_mass=1.674e-27,
+            mass_asymmetry=asymmetry,
+        )
+        field = FieldSpec(magnitude=g)
+        oracle = degenerate_pt(4, comp, field, consts)
+        table = splitting_table(4, comp, field, consts)
+        analytic = sorted((sub.shift, sub.multiplicity) for sub in table.sublevels)
+        scale = max(abs(shift) for shift, _ in analytic)
+        assert [m for _, m in oracle] == [m for _, m in analytic]
+        for (got, _), (want, _) in zip(oracle, analytic):
+            assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
 def test_degenerate_pt_matches_closed_form(n, consts):
     comp = _composites(1.3e-30)
     field = FieldSpec(magnitude=9.8)
@@ -236,7 +242,7 @@ def test_degenerate_pt_matches_closed_form(n, consts):
     scale = max(abs(shift) for shift, _ in analytic)
     assert [m for _, m in oracle] == [m for _, m in analytic]
     for (got, _), (want, _) in zip(oracle, analytic):
-        assert abs(got - want) <= 1e-8 * scale
+        assert abs(got - want) <= 1e-11 * scale
 
 
 def test_degenerate_pt_resolves_weak_coupling(consts):
@@ -247,7 +253,7 @@ def test_degenerate_pt_resolves_weak_coupling(consts):
 
 
 @given(
-    n=st.integers(1, 4),
+    n=st.integers(1, 50),
     m_e=st.floats(0.5, 2.0),
     m_p=st.floats(0.5, 2.0),
     mbar_e=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
@@ -274,32 +280,37 @@ def test_degenerate_pt_matches_closed_form_over_inputs(n, m_e, m_p, mbar_e, mbar
         expected = sorted((shift, n - abs(k)) for k, shift in analytic.items())
     oracle_groups = degenerate_pt(n, comp, field, consts)
     assert [mult for _, mult in oracle_groups] == [mult for _, mult in expected]
+    # Per group: the k = 0 group must come out exactly 0.
     for (got, _), (want, _) in zip(oracle_groups, expected):
-        assert abs(got - want) <= 1e-8 * scale
+        assert abs(got - want) <= 1e-11 * abs(want)
 
 
 @pytest.fixture
-def radial_solves(monkeypatch):
-    """Every ``_solve_radial`` call, made from an empty manifold cache."""
+def manifold_work(monkeypatch):
+    """Every radial basis build and dense eigensolve, from an empty spectrum cache."""
     calls = []
-    solve = oracle._solve_radial
 
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
+    def spy(name, inner):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return counting
 
-    oracle._manifold_radial.cache_clear()
-    monkeypatch.setattr(oracle, "_solve_radial", counting)
+    monkeypatch.setattr(oracle, "_radial_channel", spy("basis", oracle._radial_channel))
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    oracle._manifold_spectrum.cache_clear()
     yield calls
-    oracle._manifold_radial.cache_clear()
+    oracle._manifold_spectrum.cache_clear()
 
 
-def test_manifold_radial_cache_skips_repeat_solves(radial_solves, consts):
-    degenerate_pt(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
-    assert len(radial_solves) == 9   # three spacings times l = 0, 1, 2
+def test_manifold_spectrum_cache_skips_repeat_builds(manifold_work, consts):
+    first = degenerate_pt(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
+    assert manifold_work.count("basis") == 3   # l = 0, 1, 2
+    assert manifold_work.count("eigvalsh") == 3 + 3   # Gauss nodes per l, z-block per m
 
     # Masses and field are not part of the cache key.
-    radial_solves.clear()
+    manifold_work.clear()
     other = CompositeMasses(
         total_mass=2.0e-27,
         reduced_mass=1.2e-30,
@@ -307,15 +318,16 @@ def test_manifold_radial_cache_skips_repeat_solves(radial_solves, consts):
         mass_asymmetry=-2.4e-30,
     )
     cached = degenerate_pt(3, other, FieldSpec(magnitude=123.0), consts)
-    assert radial_solves == []
+    assert manifold_work == []
+    assert [count for _, count in cached] == [count for _, count in first]
 
-    oracle._manifold_radial.cache_clear()
+    oracle._manifold_spectrum.cache_clear()
     assert cached == degenerate_pt(3, other, FieldSpec(magnitude=123.0), consts)
-    assert len(radial_solves) == 9
+    assert manifold_work.count("basis") == 3
 
-    radial_solves.clear()
+    manifold_work.clear()
     assert degenerate_pt(1, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts) == [(0.0, 1)]
-    assert radial_solves == []
+    assert manifold_work == []
 
 
 # --- stabilization scan --------------------------------------------------------
