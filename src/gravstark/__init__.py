@@ -33,9 +33,7 @@ from .ionization import (
 from .masses import (
     CompositeMasses,
     MassModel,
-    codata_model,
     derive_composites,
-    equivalence_holds,
     model_with_asymmetry,
 )
 from .parabolic import (
@@ -54,16 +52,9 @@ from .separation import (
 )
 
 _LAZY = {
-    "frames": ("FrameTrajectory", "frame_equivalence_check", "transform_wavefunction"),
+    "frames": ("frame_equivalence_check",),
     "oracle": ("degenerate_pt", "radial_eigensolve", "stabilization_scan"),
-    "wavepacket": (
-        "PropagationSpec",
-        "Wavefunction1D",
-        "fidelity",
-        "gaussian_packet",
-        "mean_momentum",
-        "propagate",
-    ),
+    "wavepacket": ("PropagationSpec", "Wavefunction1D", "fidelity", "gaussian_packet", "propagate"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -19,7 +19,7 @@ import sys
 from typing import IO
 
 from .constants import atomic_scale, codata_defaults
-from .errors import EigensolverError, GravstarkError, StableAtomSignal
+from .errors import EigensolverError, GravstarkError
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
 from .parabolic import evaluate_levels, splitting_table, unperturbed_energy
@@ -421,10 +421,9 @@ def run(argv: list[str]) -> int:
             with open(args.output, "w", encoding="utf-8", newline="") as sink:
                 return args.handler(args, sink)
         return args.handler(args, sys.stdout)
-    except StableAtomSignal as exc:  # pragma: no cover - commands report, not raise
-        print(f"stable: {exc}", file=sys.stderr)
-        return EXIT_OK
-    except (ValueError, OSError) as exc:   # OSError: an --output path that cannot be opened
+    # OSError: an --output path that cannot be opened; MemoryError: a grid
+    # too large to allocate.
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GravstarkError as exc:

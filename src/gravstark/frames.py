@@ -28,54 +28,38 @@ from .wavepacket import (
     PropagationSpec,
     Wavefunction1D,
     _free_evolution,
+    _wavenumbers,
     fidelity,
     gaussian_packet,
     propagate,
 )
 
 __all__ = [
-    "FrameTrajectory",
     "FrameCheckResult",
-    "transform_wavefunction",
     "frame_equivalence_check",
 ]
 
 SUPPORT_REL_TOL = 1e-9
 EDGE_MARGIN_CELLS = 8
+# The frame check's packet: a unit-width Gaussian at rest at the origin of a
+# 48-unit grid, for a particle of unit mass (units with hbar = 1).
+MASS = 1.0
+X_MIN, X_MAX = -24.0, 24.0
+SIGMA = 1.0
 
 
-@dataclass(frozen=True)
-class FrameTrajectory:
-    """Rigid frame with constant acceleration, coincident and at rest at t = 0."""
+def _transform_wavefunction(state: Wavefunction1D, a: float, t: float) -> Wavefunction1D:
+    """View a 1D state of mass ``MASS`` from the accelerated frame at time ``t``.
 
-    acceleration: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.acceleration) != 3 or not all(map(math.isfinite, self.acceleration)):
-            raise ValueError("acceleration must be a finite 3-vector")
-
-
-def transform_wavefunction(
-    state: Wavefunction1D,
-    trajectory: FrameTrajectory,
-    particle_mass: float,
-    t: float,
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0),
-    hbar: float = 1.0,
-) -> Wavefunction1D:
-    """View a 1D single-particle state from the accelerated frame at time ``t``.
-
-    Returns exp(i Phi) psi(x' + Z(t)) with
-    Phi = [-m Zdot x' - (m/2) integral_0^t Zdot^2 ds] / hbar, the trajectory
-    projected on the grid axis.  The coordinate shift uses band-limited
-    (spectral) interpolation, so the map is unitary up to rounding.  Raises
-    ``DomainEscapeError`` when the shifted support would leave the grid.
+    The frame starts coincident and at rest and accelerates at ``a`` along
+    the grid axis.  Returns exp(i Phi) psi(x' + Z(t)) with
+    Phi = -m Zdot x' - (m/2) integral_0^t Zdot^2 ds.  The coordinate shift
+    uses band-limited (spectral) interpolation, so the map is unitary up to
+    rounding.  Raises ``DomainEscapeError`` when the shifted support would
+    leave the grid.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    if particle_mass <= 0.0:
-        raise ValueError("particle mass must be positive")
-    a = float(np.dot(trajectory.acceleration, axis))
     z = 0.5 * a * t * t
     v = a * t
     action = a * a * t**3 / 3.0
@@ -94,9 +78,8 @@ def transform_wavefunction(
                 f"[{state.x_min}, {state.x_max}]"
             )
 
-    k = 2.0 * math.pi * np.fft.fftfreq(state.point_count, d=state.dx)
-    shifted = np.fft.ifft(np.fft.fft(psi) * np.exp(1j * k * z))
-    phase = np.exp(1j * (-particle_mass * v * x - 0.5 * particle_mass * action) / hbar)
+    shifted = np.fft.ifft(np.fft.fft(psi) * np.exp(1j * _wavenumbers(state) * z))
+    phase = np.exp(1j * (-MASS * v * x - 0.5 * MASS * action))
     return Wavefunction1D(
         samples=phase * shifted,
         x_min=state.x_min,
@@ -118,13 +101,6 @@ def frame_equivalence_check(
     total_time: float = 1.0,
     grid_points: int = 2048,
     steps: int = 4096,
-    mass: float = 1.0,
-    hbar: float = 1.0,
-    x_min: float = -24.0,
-    x_max: float = 24.0,
-    sigma: float = 1.0,
-    center: float = 0.0,
-    momentum: float = 0.0,
 ) -> FrameCheckResult:
     """Numerical check that the frame map commutes with time evolution.
 
@@ -138,8 +114,8 @@ def frame_equivalence_check(
 
     For H = p^2/2m + m a x every nested commutator of the splitting ends at
     the c-number [V, [V, T]], so each Strang step is exact up to a global
-    phase, and path B carries exp(i m a^2 T dt^2 / (24 hbar)) against path
-    A.  ``max_pointwise_error`` is the largest pointwise difference once that
+    phase, and path B carries exp(i m a^2 T dt^2 / 24) against path A.
+    ``max_pointwise_error`` is the largest pointwise difference once that
     predicted phase is removed; ``fidelity`` is phase-blind and compares the
     paths as they are.
 
@@ -149,21 +125,19 @@ def frame_equivalence_check(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    trajectory = FrameTrajectory(acceleration=(0.0, 0.0, float(acceleration)))
-    initial = gaussian_packet(
-        x_min, x_max, grid_points, center=center, sigma=sigma, momentum=momentum
-    )
+    if not math.isfinite(acceleration):
+        raise ValueError("acceleration must be finite")
+    initial = gaussian_packet(X_MIN, X_MAX, grid_points, sigma=SIGMA)
     spec = PropagationSpec(
-        potential=mass * acceleration * initial.grid(),
-        mass=mass,
+        potential=MASS * acceleration * initial.grid(),
+        mass=MASS,
         dt=total_time / steps,
         steps=steps,
-        hbar=hbar,
     )
-    inertial = _free_evolution(initial, mass, spec.dt, steps, hbar)
+    inertial = _free_evolution(initial, MASS, spec.dt, steps)
     path_b = propagate(initial, spec)
-    path_a = transform_wavefunction(inertial, trajectory, mass, total_time, hbar=hbar)
-    splitting_phase = -mass * acceleration**2 * total_time * spec.dt**2 / (24.0 * hbar)
+    path_a = _transform_wavefunction(inertial, acceleration, total_time)
+    splitting_phase = -MASS * acceleration**2 * total_time * spec.dt**2 / 24.0
     err = float(np.max(np.abs(path_a.samples - np.exp(1j * splitting_phase) * path_b.samples)))
     return FrameCheckResult(
         fidelity=fidelity(path_a, path_b),

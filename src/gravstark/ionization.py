@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 GROUND_ENERGY = -0.5          # Hartree, unperturbed ground state
-EXP_OVERFLOW = 700.0          # beyond this the lifetime is reported in log10 only
 ORDER_UNITY_WINDOW = (0.1, 10.0)
 WKB_FORCE_CEILING = 1e-2      # atomic units; certified perturbative-barrier regime
 # Relative AGM stop test.  Rounding can leave the two means one ulp apart for
@@ -85,16 +84,12 @@ def _internal_force(composites: CompositeMasses, field: FieldSpec) -> float:
 
 @dataclass(frozen=True)
 class ResonanceEstimate:
-    """Closed-form lifetime pieces.
-
-    ``tau_closed_form`` is ``inf`` once the exponent passes the overflow
-    threshold; ``log10_tau_closed_form`` is always finite.
-    """
+    """Closed-form lifetime pieces; the lifetime itself only as its log10,
+    which stays finite where the lifetime would overflow."""
 
     internal_force: float           # N, |A| g
     tau_prefactor: float            # s
     closed_form_exponent: float     # dimensionless
-    tau_closed_form: float          # s (inf when not representable)
     log10_tau_closed_form: float    # log10 of seconds
 
 
@@ -138,12 +133,10 @@ def closed_form_lifetime(
         force * constants.hbar**2 / (4.0 * m_e**3 * constants.c**5 * constants.alpha**5),
     )
     log10_tau = math.log10(prefactor) + exponent / math.log(10.0)
-    tau = prefactor * math.exp(exponent) if exponent <= EXP_OVERFLOW else math.inf
     return ResonanceEstimate(
         internal_force=force,
         tau_prefactor=prefactor,
         closed_form_exponent=exponent,
-        tau_closed_form=tau,
         log10_tau_closed_form=log10_tau,
     )
 

@@ -22,8 +22,6 @@ __all__ = [
     "MassModel",
     "CompositeMasses",
     "derive_composites",
-    "equivalence_holds",
-    "codata_model",
     "model_with_asymmetry",
 ]
 
@@ -70,22 +68,6 @@ def derive_composites(model: MassModel) -> CompositeMasses:
         grav_total_mass=model.mbar_e + model.mbar_p,
         mass_asymmetry=(model.mbar_p * model.m_e - model.mbar_e * model.m_p) / total,
     )
-
-
-def equivalence_holds(model: MassModel, rel_tol: float) -> bool:
-    """Whether both gravitational masses match the inertial ones within ``rel_tol``."""
-    if rel_tol < 0.0:
-        raise ValueError("rel_tol must be non-negative")
-    return (
-        abs(model.mbar_e - model.m_e) <= rel_tol * model.m_e
-        and abs(model.mbar_p - model.m_p) <= rel_tol * model.m_p
-    )
-
-
-def codata_model(constants: PhysicalConstants | None = None) -> MassModel:
-    """Equivalence-holding configuration with CODATA reference masses."""
-    c = constants if constants is not None else codata_defaults()
-    return MassModel(m_e=c.m_e_ref, m_p=c.m_p_ref, mbar_e=c.m_e_ref, mbar_p=c.m_p_ref)
 
 
 def model_with_asymmetry(mass_asymmetry: float, constants: PhysicalConstants | None = None) -> MassModel:

@@ -77,8 +77,7 @@ _SCAN_START_DEPTH = 8          # bisection-tree level of a scan's first, narrowe
 def _solve_radial(spacing: float, r_max: float, l: int, count: int):
     """Lowest ``count`` raw finite-difference eigenpairs at one spacing.
 
-    Returns (energies, u-columns normalized by trapezoid, radii).  The sign
-    convention makes each u positive just outside the origin.
+    Returns (energies, u-columns normalized by trapezoid).
     """
     n_points = round(r_max / spacing)
     if count > n_points - 1:
@@ -109,14 +108,8 @@ def _solve_radial(spacing: float, r_max: float, l: int, count: int):
             )
 
     for i in range(count):
-        column = vectors[:, i]
-        peak = np.max(np.abs(column))
-        lead = column[np.argmax(np.abs(column) > 1e-6 * peak)]
-        if lead < 0.0:
-            vectors[:, i] = -column
-        norm = math.sqrt(np.trapezoid(vectors[:, i] ** 2, dx=spacing))
-        vectors[:, i] /= norm
-    return energies, vectors, r
+        vectors[:, i] /= math.sqrt(np.trapezoid(vectors[:, i] ** 2, dx=spacing))
+    return energies, vectors
 
 
 def radial_eigensolve(spacing: float, r_max: float, l: int, count: int) -> list[float]:
@@ -142,8 +135,8 @@ def radial_eigensolve(spacing: float, r_max: float, l: int, count: int) -> list[
     if l < 0:
         raise ValueError("l must be non-negative")
 
-    coarse, vectors, _ = _solve_radial(spacing, r_max, l, count)
-    fine, _, _ = _solve_radial(spacing / 2.0, r_max, l, count)
+    coarse, vectors = _solve_radial(spacing, r_max, l, count)
+    fine, _ = _solve_radial(spacing / 2.0, r_max, l, count)
     estimate = np.abs(coarse - fine) / 3.0
     if np.max(estimate) > DISCRETIZATION_GATE:
         raise GridResolutionError(

@@ -39,17 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Uniform field: magnitude (m/s^2) along a unit 3-vector axis."""
+    """Uniform field of magnitude g (m/s^2) along the z axis."""
 
     magnitude: float
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
         if not (self.magnitude >= 0.0 and math.isfinite(self.magnitude)):
             raise ValueError("field magnitude must be non-negative and finite")
-        norm = math.sqrt(sum(a * a for a in self.axis))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("field axis must be a unit vector")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
 """1D time-dependent Schroedinger propagation with a spectral kinetic step.
 
-Strang splitting per step,
+Units with hbar = 1.  Strang splitting per step,
 
-    exp(-i V dt / 2 hbar) exp(-i T dt / hbar) exp(-i V dt / 2 hbar),
+    exp(-i V dt / 2) exp(-i T dt) exp(-i V dt / 2),
 
-with the kinetic factor applied in momentum space on a periodic grid.  A
-static potential (an array on the grid) has its half-step factor built once
-per run; a callable potential is time-dependent and is sampled at the
-midpoint of each step, which keeps second-order accuracy.  Free evolution
-needs no stepping: the kinetic propagator is diagonal in momentum space, so
-``_free_evolution`` forms the state at any time with one spectral multiply.
+with the kinetic factor applied in momentum space on a periodic grid.  The
+potential is static, one value per grid point, so its half-step factor is
+built once per run.  Free evolution needs no stepping: the kinetic
+propagator is diagonal in momentum space, so ``_free_evolution`` forms the
+state at any time with one spectral multiply.
 The grid must be a power of two and sized so the wavepacket support stays at
 least eight grid spacings away from the boundary; both routes assert this
 every ``CHECK_INTERVAL`` steps and at the end.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -35,14 +33,11 @@ __all__ = [
     "gaussian_packet",
     "propagate",
     "fidelity",
-    "mean_momentum",
 ]
 
 BOUNDARY_CELLS = 8
 BOUNDARY_REL_TOL = 1e-9
 CHECK_INTERVAL = 64
-
-Potential = Union[Callable[[np.ndarray, float], np.ndarray], np.ndarray]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -105,27 +100,23 @@ def gaussian_packet(
 class PropagationSpec:
     """Potential, mass, and stepping of one propagation run.
 
-    ``potential`` is either a static array of values on the grid, whose
-    half-step factor is built once, or a callable ``potential(x, t)`` that
-    must be evaluable on the whole grid at every midpoint time.  ``dt`` may
-    be negative (backward propagation); the spectral stability bound
-    |dt| E_kin_max / hbar < pi is enforced when propagation starts.
+    ``potential`` holds one value per grid point.  ``dt`` may be negative
+    (backward propagation); the spectral stability bound |dt| E_kin_max < pi
+    is enforced when propagation starts.
     """
 
-    potential: Potential
+    potential: np.ndarray
     mass: float
     dt: float
     steps: int
-    hbar: float = 1.0
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dt == 0.0 or not math.isfinite(self.dt):
             raise ValueError("dt must be nonzero and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("mass and hbar must be positive")
+        if self.mass <= 0.0:
+            raise ValueError("mass must be positive")
 
 
 def _check_health(psi: np.ndarray, step: int) -> None:
@@ -143,10 +134,6 @@ def _check_health(psi: np.ndarray, step: int) -> None:
         )
 
 
-def _half_factor(v, dt: float, hbar: float) -> np.ndarray:
-    return np.exp(-0.5j * np.asarray(v, dtype=float) * dt / hbar)
-
-
 def _check_steps(steps: int) -> list[int]:
     """Steps after which a run health-checks its state: every CHECK_INTERVAL-th and the last."""
     checked = list(range(CHECK_INTERVAL - 1, steps - 1, CHECK_INTERVAL))
@@ -159,30 +146,21 @@ def _wavenumbers(state: Wavefunction1D) -> np.ndarray:
 
 def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
     """Evolve ``state`` through ``spec.steps`` Strang-split steps."""
-    x = state.grid()
     k = _wavenumbers(state)
     k_max = math.pi / state.dx
-    if abs(spec.dt) * spec.hbar * k_max**2 / (2.0 * spec.mass) >= math.pi:
+    if abs(spec.dt) * k_max**2 / (2.0 * spec.mass) >= math.pi:
         raise StabilityBoundError(
-            "time step violates |dt| * E_kin_max / hbar < pi; "
-            "shrink dt or coarsen the grid"
+            "time step violates |dt| * E_kin_max < pi; shrink dt or coarsen the grid"
         )
-    kinetic = np.exp(-1j * spec.hbar * k**2 * spec.dt / (2.0 * spec.mass))
-    potential = spec.potential
-    if callable(potential):
-        half = None
-    elif np.shape(potential) != x.shape:
-        raise ValueError("a static potential must hold one value per grid point")
-    else:
-        half = _half_factor(potential, spec.dt, spec.hbar)
+    kinetic = np.exp(-1j * k**2 * spec.dt / (2.0 * spec.mass))
+    if np.shape(spec.potential) != (state.point_count,):
+        raise ValueError("the potential must hold one value per grid point")
+    half = np.exp(-0.5j * np.asarray(spec.potential, dtype=float) * spec.dt)
 
     checked = frozenset(_check_steps(spec.steps))
     psi = state.samples.copy()
     spectrum = np.empty_like(psi)
     for step in range(spec.steps):
-        if callable(potential):
-            t_mid = spec.t0 + (step + 0.5) * spec.dt
-            half = _half_factor(potential(x, t_mid), spec.dt, spec.hbar)
         psi *= half
         np.fft.fft(psi, out=spectrum)
         spectrum *= kinetic
@@ -195,18 +173,16 @@ def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
     )
 
 
-def _free_evolution(
-    state: Wavefunction1D, mass: float, dt: float, steps: int, hbar: float = 1.0
-) -> Wavefunction1D:
+def _free_evolution(state: Wavefunction1D, mass: float, dt: float, steps: int) -> Wavefunction1D:
     """Exact free evolution of ``state`` over ``steps * dt``: one spectral multiply.
 
     On the periodic grid the free propagator is diagonal in momentum space,
-    so the state at time t is ifft(fft(psi) exp(-i hbar k^2 t / 2m)) with no
+    so the state at time t is ifft(fft(psi) exp(-i k^2 t / 2m)) with no
     splitting error.  The state is formed and health-checked at the times a
     stepped run of the same ``dt`` and ``steps`` would check it.
     """
     spectrum = np.fft.fft(state.samples)
-    rate = hbar * _wavenumbers(state) ** 2 / (2.0 * mass)
+    rate = _wavenumbers(state) ** 2 / (2.0 * mass)
     for step in _check_steps(steps):
         psi = np.fft.ifft(spectrum * np.exp(-1j * rate * ((step + 1) * dt)))
         _check_health(psi, step)
@@ -226,12 +202,3 @@ def fidelity(a: Wavefunction1D, b: Wavefunction1D) -> float:
     overlap = abs(complex(np.sum(np.conj(a.samples) * b.samples)) * a.dx)
     return min(1.0, overlap / (norm_a * norm_b))
 
-
-def mean_momentum(state: Wavefunction1D, hbar: float = 1.0) -> float:
-    """Expectation of the momentum operator via the spectral representation."""
-    k = _wavenumbers(state)
-    spectrum = np.abs(np.fft.fft(state.samples)) ** 2
-    total = float(np.sum(spectrum))
-    if total == 0.0:
-        raise ValueError("zero-norm state has no mean momentum")
-    return float(hbar * np.sum(k * spectrum) / total)

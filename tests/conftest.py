@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from gravstark.constants import codata_defaults
-from gravstark.masses import codata_model, derive_composites, model_with_asymmetry
+from gravstark.masses import MassModel, derive_composites, model_with_asymmetry
 from gravstark.separation import FieldSpec
 
 # Property tests draw the same examples on every run and keep no example
@@ -29,8 +29,11 @@ def consts():
 
 
 @pytest.fixture(scope="session")
-def equal_masses():
-    return codata_model()
+def equal_masses(consts):
+    """The CODATA masses, each gravitational mass equal to its inertial one."""
+    return MassModel(
+        m_e=consts.m_e_ref, m_p=consts.m_p_ref, mbar_e=consts.m_e_ref, mbar_p=consts.m_p_ref
+    )
 
 
 @pytest.fixture(scope="session")

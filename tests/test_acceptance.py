@@ -14,13 +14,7 @@ from gravstark.constants import atomic_scale, codata_defaults
 from gravstark.errors import StableAtomSignal
 from gravstark.frames import frame_equivalence_check
 from gravstark.ionization import closed_form_lifetime, compare_lifetimes, wkb_rate
-from gravstark.masses import (
-    CompositeMasses,
-    MassModel,
-    codata_model,
-    derive_composites,
-    model_with_asymmetry,
-)
+from gravstark.masses import CompositeMasses, MassModel, derive_composites, model_with_asymmetry
 from gravstark.oracle import degenerate_pt, radial_eigensolve, stabilization_scan
 from gravstark.parabolic import enumerate_levels, first_order_shift, splitting_table
 from gravstark.separation import FieldSpec, separate_gravitational
@@ -112,7 +106,9 @@ def test_criterion_03_splitting_structure():
 
 def test_criterion_04_equivalence_implies_stability(tmp_path):
     consts = codata_defaults()
-    model = codata_model(consts)
+    model = MassModel(
+        m_e=consts.m_e_ref, m_p=consts.m_p_ref, mbar_e=consts.m_e_ref, mbar_p=consts.m_p_ref
+    )
     comp = derive_composites(model)
     field = FieldSpec(magnitude=9.8)
 
@@ -228,7 +224,7 @@ def test_criterion_10_propagator_health():
     state = gaussian_packet(-16.0, 16.0, 512, center=2.0, sigma=0.8)
     out = propagate(
         state,
-        PropagationSpec(potential=lambda x, t: 0.5 * x**2, mass=1.0, dt=2e-3, steps=10_000),
+        PropagationSpec(potential=0.5 * state.grid() ** 2, mass=1.0, dt=2e-3, steps=10_000),
     )
     drift = abs(out.norm() - state.norm())
     assert drift < 1e-10
@@ -237,7 +233,7 @@ def test_criterion_10_propagator_health():
     packet = gaussian_packet(-24.0, 24.0, 1024, center=0.0, sigma=1.0, momentum=1.5)
     evolved = propagate(
         packet,
-        PropagationSpec(potential=lambda x, t: np.zeros_like(x), mass=1.0, dt=1.0 / 1024, steps=1024),
+        PropagationSpec(potential=np.zeros(1024), mass=1.0, dt=1.0 / 1024, steps=1024),
     )
     x = evolved.grid()
     tau = 1.0 / 2.0
@@ -250,20 +246,19 @@ def test_criterion_10_propagator_health():
 
     # second-order convergence in dt
     coherent = gaussian_packet(-24.0, 24.0, 512, center=3.0, sigma=1.0 / math.sqrt(2.0))
+    harmonic = 0.5 * coherent.grid() ** 2
     period = 2.0 * math.pi
 
     def distance(steps: int, reference) -> float:
         evolved = propagate(
             coherent,
-            PropagationSpec(potential=lambda x, t: 0.5 * x**2, mass=1.0, dt=period / steps, steps=steps),
+            PropagationSpec(potential=harmonic, mass=1.0, dt=period / steps, steps=steps),
         )
         return float(np.linalg.norm(evolved.samples - reference.samples)) * math.sqrt(evolved.dx)
 
     reference = propagate(
         coherent,
-        PropagationSpec(
-            potential=lambda x, t: 0.5 * x**2, mass=1.0, dt=period / 32768, steps=32768
-        ),
+        PropagationSpec(potential=harmonic, mass=1.0, dt=period / 32768, steps=32768),
     )
     ratio = distance(2048, reference) / distance(4096, reference)
     assert 3.0 < ratio < 5.0

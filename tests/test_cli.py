@@ -359,6 +359,61 @@ def test_frame_check_without_steps_exits_2(steps, capsys):
     assert captured.err == "error: steps must be at least 1\n"
 
 
+@pytest.mark.parametrize("a", ["inf", "-inf", "nan"])
+def test_non_finite_frame_acceleration_exits_2(a, capsys):
+    assert run(["frame-check", f"--a={a}", "--grid", "512", "--steps", "256"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: acceleration must be finite\n"
+
+
+# Each grid asks for more than the 128 TiB user address space of a 64-bit
+# Linux process, so its first array fails to allocate at once, whatever the
+# host's memory and overcommit policy.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--r-max", "1e12"],
+        ["stability", "--spacing", "1e-12"],
+        ["stability", "--boxes", "1e13,2e13,3e13"],
+        ["frame-check", "--grid", str(2**46), "--steps", "1"],
+    ],
+    ids=["spectrum-r-max", "stability-spacing", "stability-boxes", "frame-check-grid"],
+)
+def test_unallocatable_grid_exits_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*command, *stable]
+        for command in (["lifetime"], ["split", "--n", "2"], ["separate"])
+        for stable in (["--equivalence"], ["--mbar-e-ratio", "1.1", "--g", "0"])
+    ]
+    + [
+        ["frame-diff", "--equivalence"],
+        ["frame-diff", "--mbar-e-ratio", "1.1", "--a-magnitude", "0"],
+    ],
+    ids=[
+        f"{command}-{case}"
+        for command in ("lifetime", "split", "separate", "frame-diff")
+        for case in ("equivalence", "zero-field")
+    ],
+)
+def test_stable_atom_is_reported_not_raised(argv, capsys):
+    # With no internal coupling the lifetime code raises StableAtomSignal;
+    # every command reports that case on stdout instead of letting it escape.
+    assert run([*argv, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravstark.errors import DomainEscapeError, UndefinedRatioError
-from gravstark.frames import (
-    FrameTrajectory,
-    frame_equivalence_check,
-    transform_wavefunction,
-)
+from gravstark.frames import _transform_wavefunction, frame_equivalence_check
 from gravstark.masses import MassModel, derive_composites
 from gravstark.separation import FieldSpec, frame_discrepancy, separate_gravitational
-from gravstark.wavepacket import _free_evolution, gaussian_packet, fidelity
+from gravstark.wavepacket import (
+    PropagationSpec,
+    _free_evolution,
+    fidelity,
+    gaussian_packet,
+    propagate,
+)
+from test_wavepacket import mean_momentum
 
 
 # --- coupling structure -----------------------------------------------------------
@@ -71,44 +74,37 @@ def test_frame_discrepancy_zero_grav_mass(consts):
 # --- wavefunction transformation ----------------------------------------------------
 
 def test_transform_at_time_zero_is_identity():
-    traj = FrameTrajectory(acceleration=(0.0, 0.0, 1.0))
     state = gaussian_packet(-24.0, 24.0, 512, sigma=1.0)
-    out = transform_wavefunction(state, traj, 1.0, 0.0)
+    out = _transform_wavefunction(state, 1.0, 0.0)
     assert np.max(np.abs(out.samples - state.samples)) < 1e-12
 
 
 def test_transform_preserves_norm():
-    traj = FrameTrajectory(acceleration=(0.0, 0.0, 1.0))
     state = gaussian_packet(-24.0, 24.0, 1024, center=2.0, sigma=0.8, momentum=1.0)
-    out = transform_wavefunction(state, traj, 1.0, 1.5)
+    out = _transform_wavefunction(state, 1.0, 1.5)
     assert abs(out.norm() - state.norm()) < 1e-10
 
 
 def test_transform_shifts_support():
-    traj = FrameTrajectory(acceleration=(0.0, 0.0, 2.0))
     state = gaussian_packet(-24.0, 24.0, 1024, center=0.0, sigma=1.0)
-    t = 1.0  # displacement = 1, feature moves to -1
-    out = transform_wavefunction(state, traj, 1.0, t)
+    t = 1.0  # acceleration 2: displacement = 1, feature moves to -1
+    out = _transform_wavefunction(state, 2.0, t)
     x = out.grid()
     peak = x[int(np.argmax(np.abs(out.samples)))]
     assert peak == pytest.approx(-1.0, abs=2.0 * out.dx)
 
 
 def test_transform_momentum_boost():
-    from gravstark.wavepacket import mean_momentum
-
-    traj = FrameTrajectory(acceleration=(0.0, 0.0, 1.0))
     state = gaussian_packet(-24.0, 24.0, 1024, center=4.0, sigma=1.0)
-    out = transform_wavefunction(state, traj, 1.0, 2.0)
+    out = _transform_wavefunction(state, 1.0, 2.0)
     # frame velocity 2: packet appears with momentum -m*2
     assert mean_momentum(out) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_transform_domain_escape():
-    traj = FrameTrajectory(acceleration=(0.0, 0.0, 2.0))
     state = gaussian_packet(-16.0, 16.0, 512, center=-8.0, sigma=1.5)
     with pytest.raises(DomainEscapeError):
-        transform_wavefunction(state, traj, 1.0, 3.0)  # displacement 9
+        _transform_wavefunction(state, 2.0, 3.0)  # displacement 9
 
 
 def test_frame_equivalence_fidelity():
@@ -133,53 +129,38 @@ def test_frame_check_fidelity_in_unit_interval(magnitude, sign, total_time):
 
 
 def test_transform_then_propagate_equals_propagate_then_transform():
-    # the same consistency as frame_equivalence_check, via public pieces
-    from gravstark.wavepacket import PropagationSpec, propagate
-
-    accel, total_time, mass = 0.5, 1.2, 1.0
-    traj = FrameTrajectory(acceleration=(0.0, 0.0, accel))
-    initial = gaussian_packet(-24.0, 24.0, 1024, center=1.0, sigma=1.0)
-    dt = total_time / 2048
+    # the same consistency as frame_equivalence_check, via its pieces
+    accel, total_time, steps = 0.5, 1.2, 2048
+    initial = gaussian_packet(-24.0, 24.0, 1024, sigma=1.0)
+    dt = total_time / steps
 
     free = propagate(
-        initial,
-        PropagationSpec(potential=lambda x, t: np.zeros_like(x), mass=mass, dt=dt, steps=2048),
+        initial, PropagationSpec(potential=np.zeros(1024), mass=1.0, dt=dt, steps=steps)
     )
-    path_a = transform_wavefunction(free, traj, mass, total_time)
+    path_a = _transform_wavefunction(free, accel, total_time)
     path_b = propagate(
-        initial,
-        PropagationSpec(potential=lambda x, t: mass * accel * x, mass=mass, dt=dt, steps=2048),
+        initial, PropagationSpec(potential=accel * initial.grid(), mass=1.0, dt=dt, steps=steps)
     )
     assert fidelity(path_a, path_b) >= 1.0 - 1e-6
     # the check is, bit for bit, the closed-form free path and one stepped
     # run of path B, compared once the predicted splitting phase is removed
-    exact_a = transform_wavefunction(
-        _free_evolution(initial, mass, dt, 2048), traj, mass, total_time
-    )
-    static_b = propagate(
-        initial,
-        PropagationSpec(potential=mass * accel * initial.grid(), mass=mass, dt=dt, steps=2048),
-    )
-    phase = np.exp(-1j * mass * accel**2 * total_time * dt**2 / 24.0)
+    exact_a = _transform_wavefunction(_free_evolution(initial, 1.0, dt, steps), accel, total_time)
+    phase = np.exp(-1j * accel**2 * total_time * dt**2 / 24.0)
     result = frame_equivalence_check(
-        acceleration=accel, total_time=total_time, grid_points=1024, steps=2048,
-        mass=mass, center=1.0,
+        acceleration=accel, total_time=total_time, grid_points=1024, steps=steps
     )
-    assert result.fidelity == fidelity(exact_a, static_b)
+    assert result.fidelity == fidelity(exact_a, path_b)
     assert result.max_pointwise_error == float(
-        np.max(np.abs(exact_a.samples - phase * static_b.samples))
+        np.max(np.abs(exact_a.samples - phase * path_b.samples))
     )
 
 
-@pytest.mark.parametrize(
-    "mass, hbar, accel",
-    [(1.0, 1.0, 1.0), (0.5, 0.7, -1.3), (2.0, 0.5, 0.4)],
-)
-def test_paths_differ_only_by_the_splitting_phase(mass, hbar, accel):
-    # For H = p^2/2m + m a x each Strang step is exact up to a global phase,
-    # which depends on m and hbar; with it removed only rounding is left.
+@pytest.mark.parametrize("accel", [1.0, -1.3, 0.4])
+def test_paths_differ_only_by_the_splitting_phase(accel):
+    # For H = p^2/2m + m a x each Strang step is exact up to a global phase;
+    # with it removed only rounding is left.
     result = frame_equivalence_check(
-        acceleration=accel, total_time=1.0, grid_points=1024, steps=2048, mass=mass, hbar=hbar
+        acceleration=accel, total_time=1.0, grid_points=1024, steps=2048
     )
     assert result.max_pointwise_error <= 1e-12
     assert result.fidelity >= 1.0 - 1e-12

@@ -95,8 +95,7 @@ def test_import_and_scalar_commands_load_no_numpy():
 PUBLIC_NAMES = {
     # constants, masses, separation
     "PhysicalConstants", "atomic_scale", "codata_defaults",
-    "CompositeMasses", "MassModel", "codata_model", "derive_composites",
-    "equivalence_holds", "model_with_asymmetry",
+    "CompositeMasses", "MassModel", "derive_composites", "model_with_asymmetry",
     "FieldSpec", "separate_gravitational", "verify_separability",
     # closed forms
     "ParabolicLevel", "enumerate_levels", "evaluate_levels", "first_order_shift",
@@ -104,9 +103,8 @@ PUBLIC_NAMES = {
     "wkb_rate",
     # numerical routes
     "degenerate_pt", "radial_eigensolve", "stabilization_scan",
-    "FrameTrajectory", "frame_discrepancy", "frame_equivalence_check",
-    "transform_wavefunction", "PropagationSpec", "Wavefunction1D", "fidelity",
-    "gaussian_packet", "mean_momentum", "propagate",
+    "frame_discrepancy", "frame_equivalence_check", "PropagationSpec", "Wavefunction1D",
+    "fidelity", "gaussian_packet", "propagate",
     # errors
     "BoundaryEscapeError", "DomainEscapeError", "EigensolverError", "EmptyWindowError",
     "GravstarkError", "GridResolutionError", "NoBarrierError", "PropagationError",
@@ -116,7 +114,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 42
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the

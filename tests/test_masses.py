@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from gravstark.masses import (
-    MassModel,
-    codata_model,
-    derive_composites,
-    equivalence_holds,
-    model_with_asymmetry,
-)
+from gravstark.masses import MassModel, derive_composites, model_with_asymmetry
 
 
 def test_equivalence_case_exact(equal_masses):
@@ -86,29 +80,6 @@ def test_zero_asymmetry_iff_cross_products_equal(consts):
     assert comp.mass_asymmetry == 0.0
 
 
-def test_equivalence_holds_exact(equal_masses):
-    assert equivalence_holds(equal_masses, 0.0)
-
-
-def test_equivalence_fails_at_ten_percent(violating_model):
-    assert not equivalence_holds(violating_model, 1e-3)
-
-
-def test_equivalence_within_tolerance(consts):
-    model = MassModel(
-        m_e=consts.m_e_ref,
-        m_p=consts.m_p_ref,
-        mbar_e=consts.m_e_ref * (1.0 + 1e-9),
-        mbar_p=consts.m_p_ref,
-    )
-    assert equivalence_holds(model, 1e-6)
-
-
-def test_negative_tolerance_rejected(equal_masses):
-    with pytest.raises(ValueError):
-        equivalence_holds(equal_masses, -1.0)
-
-
 def test_non_positive_inertial_masses_rejected():
     with pytest.raises(ValueError):
         MassModel(m_e=0.0, m_p=1.0, mbar_e=1.0, mbar_p=1.0)
@@ -127,6 +98,3 @@ def test_model_with_asymmetry_round_trip(consts):
     comp = derive_composites(model_with_asymmetry(target, consts))
     assert comp.mass_asymmetry == pytest.approx(target, rel=1e-12)
 
-
-def test_codata_model_is_equivalent(consts):
-    assert equivalence_holds(codata_model(consts), 0.0)

@@ -70,7 +70,7 @@ def test_lowest_f_state():
 
 
 def test_states_are_normalized():
-    _, vectors, _ = _solve_radial(0.01, 80.0, 0, 2)
+    _, vectors = _solve_radial(0.01, 80.0, 0, 2)
     for i in range(2):
         norm = np.trapezoid(vectors[:, i] ** 2, dx=0.01)
         assert norm == pytest.approx(1.0, abs=1e-10)
@@ -97,7 +97,7 @@ def test_radial_solve_makes_no_numpy_norm_call(monkeypatch):
         raise AssertionError("numpy.linalg.norm called")
 
     monkeypatch.setattr(np.linalg, "norm", forbidden)
-    energies, _, _ = _solve_radial(0.005, 160.0, 0, 4)
+    energies, _ = _solve_radial(0.005, 160.0, 0, 4)
     assert energies[0] == pytest.approx(bohr_energy(1), rel=1e-4)
     levels = radial_eigensolve(0.01, 80.0, 0, 3)
     assert levels == pytest.approx([bohr_energy(n) for n in (1, 2, 3)], rel=1e-6)
@@ -107,7 +107,7 @@ def test_energies_decrease_with_resolution():
     # refining the grid at fixed box lowers every level monotonically
     energies = []
     for spacing in (0.08, 0.04, 0.02, 0.01):
-        raw, _, _ = _solve_radial(spacing, 60.0, 0, 2)
+        raw, _ = _solve_radial(spacing, 60.0, 0, 2)
         energies.append(raw)
     for coarse, fine in zip(energies, energies[1:]):
         assert np.all(fine <= coarse + 1e-12)

@@ -8,11 +8,6 @@ from gravstark.separation import FieldSpec, separate_gravitational, verify_separ
 RESIDUAL_BOUND = 1e-10
 
 
-def test_axis_must_be_unit():
-    with pytest.raises(ValueError):
-        FieldSpec(magnitude=1.0, axis=(0.0, 0.0, 2.0))
-
-
 def test_negative_magnitude_rejected():
     with pytest.raises(ValueError):
         FieldSpec(magnitude=-1.0)
@@ -53,16 +48,6 @@ def test_coupling_linear_in_field(violating_model):
     two = separate_gravitational(violating_model, FieldSpec(magnitude=6.0))
     assert two.internal_coupling == pytest.approx(2.0 * one.internal_coupling, rel=1e-14)
     assert two.cm_coupling == pytest.approx(2.0 * one.cm_coupling, rel=1e-14)
-
-
-def test_rotating_axis_keeps_magnitudes(violating_model):
-    inv = 1.0 / np.sqrt(3.0)
-    tilted = FieldSpec(magnitude=9.8, axis=(inv, inv, inv))
-    upright = FieldSpec(magnitude=9.8)
-    a = separate_gravitational(violating_model, tilted)
-    b = separate_gravitational(violating_model, upright)
-    assert a.cm_coupling == b.cm_coupling
-    assert a.internal_coupling == b.internal_coupling
 
 
 def test_separability_equal_masses(equal_masses, terrestrial_field):
