@@ -38,9 +38,7 @@ from .masses import (
 )
 from .parabolic import (
     ParabolicLevel,
-    enumerate_levels,
     evaluate_levels,
-    first_order_shift,
     splitting_table,
     unperturbed_energy,
 )

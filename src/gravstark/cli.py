@@ -19,7 +19,7 @@ import sys
 from typing import IO
 
 from .constants import atomic_scale, codata_defaults
-from .errors import EigensolverError, GravstarkError
+from .errors import EigensolverError, GravstarkError, representable
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
 from .parabolic import evaluate_levels, splitting_table, unperturbed_energy
@@ -88,7 +88,7 @@ def resolve_mass_model(args: argparse.Namespace) -> MassModel:
         if absolute is not None:
             values[name] = absolute
         elif ratio is not None:
-            values[name] = ratio * reference[name]
+            values[name] = representable(f"{name} from its ratio", ratio * reference[name], ratio)
         else:
             values[name] = reference[name]
     if args.equivalence:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one float-range rule."""
+
+import math
+import sys
 
 
 class GravstarkError(Exception):
@@ -47,6 +50,21 @@ class DomainEscapeError(GravstarkError):
 
 class UnrepresentableError(GravstarkError):
     """A result that the inputs define overflows or underflows a float."""
+
+
+def representable(name: str, value: float, *factors: float) -> float:
+    """``value``, a closed-form result named ``name``, checked for range.
+
+    If one of ``factors`` is exactly 0 the result is +0.0.  Otherwise it must
+    be a finite normal float: 0, a subnormal, inf or nan means the product or
+    quotient left the float range and its digits with it, and raises
+    ``UnrepresentableError``.
+    """
+    if 0.0 in factors:
+        return 0.0
+    if math.isfinite(value) and abs(value) >= sys.float_info.min:
+        return value
+    raise UnrepresentableError(f"{name} is {value!r}: outside the float range")
 
 
 class PropagationError(GravstarkError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError
+from .errors import DomainEscapeError, representable
 from .wavepacket import (
     PropagationSpec,
     Wavefunction1D,
@@ -56,13 +56,14 @@ def _transform_wavefunction(state: Wavefunction1D, a: float, t: float) -> Wavefu
     Phi = -m Zdot x' - (m/2) integral_0^t Zdot^2 ds.  The coordinate shift
     uses band-limited (spectral) interpolation, so the map is unitary up to
     rounding.  Raises ``DomainEscapeError`` when the shifted support would
-    leave the grid.
+    leave the grid, and ``UnrepresentableError`` when the frame velocity or
+    action leaves the float range.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
     z = 0.5 * a * t * t
-    v = a * t
-    action = a * a * t**3 / 3.0
+    v = representable("frame velocity a t", a * t, a, t)
+    action = representable("frame action a^2 t^3 / 3", a * a * t**3 / 3.0, a, t)
 
     psi = state.samples
     peak = float(np.max(np.abs(psi)))

@@ -62,11 +62,17 @@ class CompositeMasses:
 def derive_composites(model: MassModel) -> CompositeMasses:
     """All composite masses of a configuration."""
     total = model.m_e + model.m_p
+    # Gravitational masses below 2**-600 kg are carried times 2**600, so that
+    # their products with the inertial masses cannot underflow where the
+    # asymmetry itself is a normal float; a power of two changes no bit of a
+    # normal-range result.  Adding 0.0 turns -0.0 into 0.0.
+    scale = 2.0**600 if max(abs(model.mbar_e), abs(model.mbar_p)) < 2.0**-600 else 1.0
+    products = (scale * model.mbar_p) * model.m_e - (scale * model.mbar_e) * model.m_p
     return CompositeMasses(
         total_mass=total,
         reduced_mass=model.m_e * model.m_p / total,
         grav_total_mass=model.mbar_e + model.mbar_p,
-        mass_asymmetry=(model.mbar_p * model.m_e - model.mbar_e * model.m_p) / total,
+        mass_asymmetry=products / total / scale + 0.0,
     )
 
 

@@ -12,12 +12,10 @@ the sublevel at k carrying n - |k| states.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants
-from .errors import UnrepresentableError
+from .errors import representable
 from .masses import CompositeMasses
 from .separation import FieldSpec
 
@@ -25,9 +23,7 @@ __all__ = [
     "ParabolicLevel",
     "Sublevel",
     "SplittingTable",
-    "enumerate_levels",
     "unperturbed_energy",
-    "first_order_shift",
     "evaluate_levels",
     "splitting_table",
 ]
@@ -37,19 +33,16 @@ MAX_PRINCIPAL = 50
 
 @dataclass(frozen=True)
 class ParabolicLevel:
-    """One state (n, n1, n2, m) with k = n1 - n2.
-
-    ``energy_unperturbed`` and ``shift`` are in joules and stay ``None``
-    until evaluated against a mass configuration and field.
-    """
+    """One state (n, n1, n2, m) with k = n1 - n2, its field-free energy and
+    first-order shift in joules."""
 
     n: int
     n1: int
     n2: int
     m: int
     k: int
-    energy_unperturbed: float | None = None
-    shift: float | None = None
+    energy_unperturbed: float
+    shift: float
 
     def __post_init__(self) -> None:
         if self.n1 < 0 or self.n2 < 0:
@@ -89,26 +82,13 @@ def _check_n(n: int) -> None:
         raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
 
 
-def enumerate_levels(n: int) -> list[ParabolicLevel]:
-    """All n^2 states of the n-manifold, ordered by descending k, then (n1, m)."""
-    _check_n(n)
-    out: list[ParabolicLevel] = []
-    for n1 in range(n):
-        for n2 in range(n - n1):
-            q = n - 1 - n1 - n2
-            for m in ((0,) if q == 0 else (-q, q)):
-                out.append(ParabolicLevel(n=n, n1=n1, n2=n2, m=m, k=n1 - n2))
-    out.sort(key=lambda s: (-s.k, s.n1, s.m))
-    return out
-
-
 def unperturbed_energy(n: int, composites: CompositeMasses, constants: PhysicalConstants) -> float:
     """Field-free level energy -mu c^2 alpha^2 / (2 n^2) in joules."""
     _check_n(n)
-    energy = -composites.reduced_mass * constants.c**2 * constants.alpha**2 / (2.0 * n * n)
-    if not math.isfinite(energy):
-        raise UnrepresentableError(f"unperturbed energy at n = {n} is {energy!r} J")
-    return energy
+    return representable(
+        f"unperturbed energy at n = {n}",
+        -composites.reduced_mass * constants.c**2 * constants.alpha**2 / (2.0 * n * n),
+    )
 
 
 def _shift(
@@ -120,9 +100,7 @@ def _shift(
 ) -> float:
     # Below |A| g = 2**-800 the product A g hbar would underflow, so the smaller
     # factor is carried times 2**800 and the one final division takes that back
-    # out; that changes no bit of a normal-range result.  Adding 0.0 turns -0.0
-    # into 0.0 and leaves every other value unchanged.  A nonzero shift below
-    # the normal range has lost digits, as has one that flushed to 0.
+    # out; that changes no bit of a normal-range result.
     a, g = composites.mass_asymmetry, field.magnitude
     scale = 1.0
     if abs(a) * g < 2.0**-800:
@@ -134,24 +112,8 @@ def _shift(
     shift = (
         -3.0 * a * g * constants.hbar * n * k
         / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
-    ) / scale + 0.0
-    if math.isfinite(shift) and (
-        abs(shift) >= sys.float_info.min or a == 0.0 or g == 0.0 or k == 0
-    ):
-        return shift
-    raise UnrepresentableError(
-        f"first-order shift at n = {n}, k = {k} is {shift!r} J: A g is outside the float range"
-    )
-
-
-def first_order_shift(
-    level: ParabolicLevel,
-    composites: CompositeMasses,
-    field: FieldSpec,
-    constants: PhysicalConstants,
-) -> float:
-    """First-order energy shift of one parabolic state, in joules."""
-    return _shift(level.n, level.k, composites, field, constants)
+    ) / scale
+    return representable(f"first-order shift at n = {n}, k = {k}", shift, a, g, k)
 
 
 def evaluate_levels(
@@ -160,20 +122,19 @@ def evaluate_levels(
     field: FieldSpec,
     constants: PhysicalConstants,
 ) -> list[ParabolicLevel]:
-    """The n-manifold with unperturbed energies and first-order shifts filled in."""
+    """All n^2 states of the n-manifold with their unperturbed energies and
+    first-order shifts, ordered by descending k, then (n1, m)."""
     e0 = unperturbed_energy(n, composites, constants)
-    return [
-        ParabolicLevel(
-            n=lv.n,
-            n1=lv.n1,
-            n2=lv.n2,
-            m=lv.m,
-            k=lv.k,
-            energy_unperturbed=e0,
-            shift=first_order_shift(lv, composites, field, constants),
-        )
-        for lv in enumerate_levels(n)
-    ]
+    levels = []
+    for n1 in range(n):
+        for n2 in range(n - n1):
+            q = n - 1 - n1 - n2
+            for m in ((0,) if q == 0 else (-q, q)):
+                k = n1 - n2
+                shift = _shift(n, k, composites, field, constants)
+                levels.append(ParabolicLevel(n, n1, n2, m, k, e0, shift))
+    levels.sort(key=lambda lv: (-lv.k, lv.n1, lv.m))
+    return levels
 
 
 def splitting_table(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .constants import PhysicalConstants, atomic_scale, codata_defaults
-from .errors import ResourceLimitError, UndefinedRatioError, UnrepresentableError
+from .errors import ResourceLimitError, UndefinedRatioError, representable
 from .masses import MassModel, derive_composites
 
 if TYPE_CHECKING:
@@ -62,19 +62,20 @@ class SeparatedHamiltonian:
 def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamiltonian:
     """Coefficient set of the separated equations for ``model`` in ``field``.
 
-    Raises ``UnrepresentableError`` when a mass or coupling overflows a float.
+    Raises ``UnrepresentableError`` when a mass or a coupling leaves the
+    float range; a coupling with a zero factor is +0.0.
     """
     comp = derive_composites(model)
-    coefficients = {
-        "cm_kinetic_mass": comp.total_mass,
-        "cm_coupling": comp.grav_total_mass * field.magnitude,
-        "internal_kinetic_mass": comp.reduced_mass,
-        "internal_coupling": comp.mass_asymmetry * field.magnitude,
-    }
-    for name, value in coefficients.items():
-        if not math.isfinite(value):
-            raise UnrepresentableError(f"{name} is {value!r}")
-    return SeparatedHamiltonian(**coefficients, coulomb_present=True)
+    g = field.magnitude
+    return SeparatedHamiltonian(
+        cm_kinetic_mass=representable("cm_kinetic_mass", comp.total_mass),
+        cm_coupling=representable("cm_coupling", comp.grav_total_mass * g, comp.grav_total_mass, g),
+        internal_kinetic_mass=representable("internal_kinetic_mass", comp.reduced_mass),
+        internal_coupling=representable(
+            "internal_coupling", comp.mass_asymmetry * g, comp.mass_asymmetry, g
+        ),
+        coulomb_present=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -89,24 +90,22 @@ def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
     """Field-versus-acceleration contrast for a field/acceleration of ``magnitude``.
 
     Raises ``UnrepresentableError`` when the ratio or the coupling difference
-    leaves the float range: not finite, or 0 at nonzero inputs.
+    leaves the float range; a coupling difference with a zero factor is +0.0.
     """
     if not 0.0 <= magnitude < math.inf:
         raise ValueError("magnitude must be non-negative and finite")
     comp = derive_composites(model)
     if comp.grav_total_mass == 0.0:
         raise UndefinedRatioError("total gravitational mass is zero; ratio undefined")
-    ratio = comp.total_mass / comp.grav_total_mass
-    coupling = abs(comp.mass_asymmetry) * magnitude
-    if not math.isfinite(ratio) or ratio == 0.0:
-        raise UnrepresentableError(f"cm_mass_ratio is {ratio!r}: outside the float range")
-    if not math.isfinite(coupling) or (
-        coupling == 0.0 and comp.mass_asymmetry != 0.0 and magnitude != 0.0
-    ):
-        raise UnrepresentableError(
-            f"internal_coupling_difference is {coupling!r}: outside the float range"
-        )
-    return FrameDiscrepancy(cm_mass_ratio=ratio, internal_coupling_difference=coupling)
+    return FrameDiscrepancy(
+        cm_mass_ratio=representable("cm_mass_ratio", comp.total_mass / comp.grav_total_mass),
+        internal_coupling_difference=representable(
+            "internal_coupling_difference",
+            abs(comp.mass_asymmetry) * magnitude,
+            comp.mass_asymmetry,
+            magnitude,
+        ),
+    )
 
 
 def verify_separability(

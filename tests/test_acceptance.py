@@ -16,7 +16,7 @@ from gravstark.frames import frame_equivalence_check
 from gravstark.ionization import closed_form_lifetime, compare_lifetimes, wkb_rate
 from gravstark.masses import CompositeMasses, MassModel, derive_composites, model_with_asymmetry
 from gravstark.oracle import degenerate_pt, radial_eigensolve, stabilization_scan
-from gravstark.parabolic import enumerate_levels, first_order_shift, splitting_table
+from gravstark.parabolic import evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec, separate_gravitational
 from gravstark.wavepacket import (
     PropagationSpec,
@@ -52,9 +52,8 @@ def test_criterion_02_first_order_shifts_match_oracle():
     worst = 0.0
     for n in (1, 2, 3, 4, 7, 20, 50):
         analytic = {}
-        for level in enumerate_levels(n):
-            shift = first_order_shift(level, comp, field, consts)
-            analytic.setdefault(level.k, shift)
+        for level in evaluate_levels(n, comp, field, consts):
+            analytic.setdefault(level.k, level.shift)
         expected = sorted((shift, n - abs(k)) for k, shift in analytic.items())
         oracle = degenerate_pt(n, comp, field, consts)
         assert [mult for _, mult in oracle] == [mult for _, mult in expected]

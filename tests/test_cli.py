@@ -1,8 +1,15 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravstark.cli import run
 from gravstark.constants import codata_defaults
@@ -308,16 +315,28 @@ def test_weak_coupling_lifetime_is_finite(g, tmp_path):
     [
         ["--mbar-e", "1e300", "--mbar-p", "1e300", "--g", "1e300"],
         ["--m-e", "1e308", "--m-p", "1e308"],
+        ["--g", "1e-300"],
+        ["--mbar-e-ratio", "1.1", "--g", "1e-290"],
+        ["--mbar-e-ratio", "1e-300", "--mbar-p-ratio", "1e-300"],
     ],
-    ids=["coupling-overflow", "mass-overflow"],
+    ids=["coupling-overflow", "mass-overflow", "coupling-underflow", "coupling-subnormal",
+         "ratio-underflow"],
 )
 def test_unrepresentable_separate_exits_3(config, capsys):
     code = run(["separate", *config, "--format", "json"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "numerical failure" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_zero_field_separate_prints_positive_zero(tmp_path):
+    # A < 0 here, and a coupling with a zero factor is +0.0 whatever its sign.
+    out = invoke(["separate", "--mbar-e-ratio", "1.1", "--g", "0", "--format", "json"], tmp_path)
+    record = json.loads(out)
+    for key in ("cm_coupling_N", "internal_coupling_N"):
+        assert record[key] == 0.0 and math.copysign(1.0, record[key]) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -435,6 +454,20 @@ def test_unopenable_output_exits_2(argv, tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_frame_check_phase_overflow_exits_3(capsys):
+    # a t = 1e80 is finite, but a^2 t^3 / 3 overflows: the frame phase would
+    # be nan, so the transform stops before building it and warns nothing.
+    argv = ["frame-check", "--a", "1e160", "--time", "1e-80", "--grid", "512", "--steps", "64"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_frame_check_escape_exits_3(capsys):
     # the accelerated path is pushed 25 units across a 48-unit grid
     code = run(["frame-check", "--a", "50", "--time", "1", "--grid", "512", "--steps", "256"])
@@ -469,3 +502,91 @@ def test_unusable_stability_grid_exits_2(flags, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+# --- every accepted scalar input: finite normal numbers, or exit 2 or 3 ---------
+
+_EXTREMES = [0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+
+def _grav_mass_flags(flag, reference):
+    """``--mbar-x=KG`` or ``--mbar-x-ratio=R``, with the kilograms it asks for."""
+    extreme = st.tuples(st.sampled_from(["", "-ratio"]), st.sampled_from(_EXTREMES)).map(
+        lambda f: (f"{flag}{f[0]}={f[1]!r}", f[1] * reference if f[0] else f[1])
+    )
+    ratio = st.floats(-3.0, 3.0).map(lambda r: (f"{flag}-ratio={r!r}", r * reference))
+    return st.one_of(extreme, ratio)
+
+
+_CONSTS = codata_defaults()
+_FIELD = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+_COMMANDS = st.one_of(
+    st.just((["separate"], "--g")),
+    st.just((["frame-diff"], "--a-magnitude")),
+    st.just((["lifetime"], "--g")),
+    st.integers(1, 50).map(lambda n: (["split", "--n", str(n), "--no-oracle"], "--g")),
+    st.integers(1, 6).map(
+        lambda n: (["split", "--n", str(n), "--no-oracle", "--per-state"], "--g")
+    ),
+)
+
+
+def _printed_floats(out, output_format):
+    if output_format == "json":
+        payload = json.loads(out)
+        rows = payload if isinstance(payload, list) else [payload]
+        return [v for row in rows for v in row.values() if type(v) is float], rows
+    rows = list(csv.DictReader(io.StringIO(out)))
+    numbers = []
+    for row in rows:
+        for cell in row.values():
+            with contextlib.suppress(ValueError):
+                numbers.append(float(cell))
+    return numbers, rows
+
+
+@settings(max_examples=250)
+@given(
+    command=_COMMANDS,
+    mbar_e=_grav_mass_flags("--mbar-e", _CONSTS.m_e_ref),
+    mbar_p=_grav_mass_flags("--mbar-p", _CONSTS.m_p_ref),
+    equivalence=st.sampled_from([False, False, False, True]),
+    g=_FIELD,
+    output_format=st.sampled_from(["csv", "json"]),
+)
+def test_scalar_commands_print_normal_floats_or_exit_2_or_3(
+    command, mbar_e, mbar_p, equivalence, g, output_format
+):
+    argv, field_flag = command
+    if equivalence:
+        masses, resolved = ["--equivalence"], (_CONSTS.m_e_ref, _CONSTS.m_p_ref)
+    else:
+        masses, resolved = [mbar_e[0], mbar_p[0]], (mbar_e[1], mbar_p[1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, *masses, f"{field_flag}={g!r}", "--format", output_format])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+        assert err.count("\n") == 1
+        return
+    numbers, rows = _printed_floats(out, output_format)
+    for value in numbers:
+        assert math.isfinite(value), (argv, value)
+        assert math.copysign(1.0, value) == 1.0 or value != 0.0, (argv, "-0.0")
+        assert value == 0.0 or abs(value) >= sys.float_info.min, (argv, value)
+    if argv[0] == "lifetime":
+        # A M = mbar_p m_e - mbar_e m_p in exact arithmetic.  The package rounds
+        # both products, so A within a few ulps of them may come out either way.
+        products = (
+            Fraction(resolved[1]) * Fraction(_CONSTS.m_e_ref),
+            Fraction(resolved[0]) * Fraction(_CONSTS.m_p_ref),
+        )
+        asymmetry = products[0] - products[1]
+        stable = rows[0]["stable"] in (True, "true")
+        if asymmetry == 0 or g == 0.0:
+            assert stable
+        elif abs(asymmetry) > 2.0**-50 * max(map(abs, products)):
+            assert not stable

@@ -98,9 +98,8 @@ PUBLIC_NAMES = {
     "CompositeMasses", "MassModel", "derive_composites", "model_with_asymmetry",
     "FieldSpec", "separate_gravitational", "verify_separability",
     # closed forms
-    "ParabolicLevel", "enumerate_levels", "evaluate_levels", "first_order_shift",
-    "splitting_table", "unperturbed_energy", "closed_form_lifetime", "compare_lifetimes",
-    "wkb_rate",
+    "ParabolicLevel", "evaluate_levels", "splitting_table", "unperturbed_energy",
+    "closed_form_lifetime", "compare_lifetimes", "wkb_rate",
     # numerical routes
     "degenerate_pt", "radial_eigensolve", "stabilization_scan",
     "frame_discrepancy", "frame_equivalence_check", "PropagationSpec", "Wavefunction1D",
@@ -114,7 +113,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 40
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the

@@ -129,16 +129,21 @@ def test_exponent_against_raw_quadrature(consts, electron_asymmetry):
     assert exponent == pytest.approx(raw, rel=1e-7)
 
 
-def _mpmath_exponent(force: float, inner: float, outer: float):
+def _mpmath_exponent(force: float):
     """(4/3) sqrt(2 F b) [(a+b) E(m) - 2a K(m)], m = 1 - a/b, at 40 digits.
 
+    The turning points a < b are the roots of F x^2 - x/2 + 1 = 0, solved
+    here at 40 digits too, so the reference owes nothing to the package; a is
+    written as 2 / (1/2 + root), free of the cancellation in 1/2 - root.
     K(m) comes from mpmath's AGM and E(m) from Legendre's relation with
     mpmath's K and E at the complementary parameter a/b: ``ellipk(m)``
     itself would round m = 1 - 1e-150 to 1.
     """
     mp = mpmath.mp
     with mp.workdps(40):
-        a, b, f = mp.mpf(inner), mp.mpf(outer), mp.mpf(force)
+        f = mp.mpf(force)
+        root = mp.sqrt(mp.mpf(1) / 4 - 4 * f)
+        a, b = 2 / (mp.mpf(1) / 2 + root), (mp.mpf(1) / 2 + root) / (2 * f)
         p = a / b
         k = mp.pi / (2 * mp.agm(1, mp.sqrt(p)))
         k_comp, e_comp = mp.ellipk(p), mp.ellipe(p)
@@ -150,9 +155,10 @@ def _mpmath_exponent(force: float, inner: float, outer: float):
 @settings(max_examples=200)
 @given(log10_force=st.floats(min_value=-300.0, max_value=-2.0))
 def test_closed_form_exponent_matches_40_digits(log10_force):
+    # End to end: the package's turning points and elliptic integrals
+    # against a reference that solves the quadratic itself.
     force = 10.0**log10_force
-    reference = _mpmath_exponent(force, *_barrier_turning_points(force))
-    assert abs(_barrier_exponent(force) / reference - 1) <= 1e-15
+    assert abs(_barrier_exponent(force) / _mpmath_exponent(force) - 1) <= 1e-15
 
 
 @settings(max_examples=50)
@@ -264,7 +270,9 @@ def test_weak_force_lifetimes_exceed_bound(consts, electron_asymmetry):
 
 def test_wkb_rate_underflows_to_zero(consts, electron_asymmetry):
     # The lifetime.json configuration: only the exponent survives exp's range.
+    # The exponent is the one 50-digit arithmetic gives, 6.1458319054664171e21,
+    # rounded.
     assert wkb_rate(electron_asymmetry, FieldSpec(magnitude=9.8), consts) == (
         0.0,
-        6.145831905463709e21,
+        6.145831905466417e21,
     )

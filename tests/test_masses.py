@@ -98,3 +98,13 @@ def test_model_with_asymmetry_round_trip(consts):
     comp = derive_composites(model_with_asymmetry(target, consts))
     assert comp.mass_asymmetry == pytest.approx(target, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("mbar_e, mbar_p", [(1e-300, 1e-300), (0.0, -1e-300), (-1e-300, 0.0)])
+def test_tiny_gravitational_masses_keep_the_asymmetry(consts, mbar_e, mbar_p):
+    # Each product mbar m is below the float range here, but A is not, so
+    # it must not come out as 0 (or -0.0).
+    model = MassModel(m_e=consts.m_e_ref, m_p=consts.m_p_ref, mbar_e=mbar_e, mbar_p=mbar_p)
+    comp = derive_composites(model)
+    expected = (mbar_p * 1e300 * consts.m_e_ref - mbar_e * 1e300 * consts.m_p_ref) / comp.total_mass
+    assert comp.mass_asymmetry * 1e300 == pytest.approx(expected, rel=1e-14)

@@ -17,7 +17,7 @@ from gravstark.oracle import (
     radial_eigensolve,
     stabilization_scan,
 )
-from gravstark.parabolic import enumerate_levels, first_order_shift, splitting_table
+from gravstark.parabolic import evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec
 
 
@@ -271,8 +271,8 @@ def test_degenerate_pt_matches_closed_form_over_inputs(n, m_e, m_p, mbar_e, mbar
     comp = derive_composites(model)
     field = FieldSpec(magnitude=g)
     analytic = {}
-    for level in enumerate_levels(n):
-        analytic.setdefault(level.k, first_order_shift(level, comp, field, consts))
+    for level in evaluate_levels(n, comp, field, consts):
+        analytic.setdefault(level.k, level.shift)
     scale = max(abs(shift) for shift in analytic.values())
     if scale == 0.0:
         expected = [(0.0, n * n)]

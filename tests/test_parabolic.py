@@ -5,64 +5,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from gravstark.constants import codata_defaults
 from gravstark.errors import UnrepresentableError
 from gravstark.masses import CompositeMasses
 from gravstark.parabolic import (
     ParabolicLevel,
-    enumerate_levels,
     evaluate_levels,
-    first_order_shift,
     splitting_table,
     unperturbed_energy,
 )
 from gravstark.separation import FieldSpec
-
-
-def test_n1_single_state():
-    levels = enumerate_levels(1)
-    assert len(levels) == 1
-    only = levels[0]
-    assert (only.n1, only.n2, only.m, only.k) == (0, 0, 0, 0)
-
-
-def test_n2_states():
-    levels = enumerate_levels(2)
-    quadruples = {(lv.n1, lv.n2, lv.m) for lv in levels}
-    assert quadruples == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)}
-    assert sorted(lv.k for lv in levels) == [-1, 0, 0, 1]
-
-
-def test_n3_states():
-    levels = enumerate_levels(3)
-    assert len(levels) == 9
-    assert sorted(set(lv.k for lv in levels)) == [-2, -1, 0, 1, 2]
-    # exhaustive: every (n1, n2, |m|) composition of n - 1 = 2
-    assert all(lv.n1 + lv.n2 + abs(lv.m) == 2 for lv in levels)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-def test_degeneracy_count(n):
-    levels = enumerate_levels(n)
-    assert len(levels) == n * n
-    assert len({(lv.n1, lv.n2, lv.m) for lv in levels}) == n * n
-
-
-def test_descending_k_order():
-    ks = [lv.k for lv in enumerate_levels(4)]
-    assert ks == sorted(ks, reverse=True)
-
-
-def test_out_of_range_rejected():
-    for bad in (0, -1, 51):
-        with pytest.raises(ValueError):
-            enumerate_levels(bad)
-
-
-def test_quantum_number_constraint_enforced():
-    with pytest.raises(ValueError):
-        ParabolicLevel(n=2, n1=1, n2=1, m=0, k=0)
-    with pytest.raises(ValueError):
-        ParabolicLevel(n=2, n1=1, n2=0, m=0, k=-1)
 
 
 def _synthetic_composites(asymmetry=1.0e-30):
@@ -75,14 +27,68 @@ def _synthetic_composites(asymmetry=1.0e-30):
     )
 
 
+def _levels(n, asymmetry=1.0e-30, g=9.8):
+    """The evaluated n-manifold of the synthetic composites."""
+    comp, field = _synthetic_composites(asymmetry), FieldSpec(magnitude=g)
+    return evaluate_levels(n, comp, field, codata_defaults())
+
+
+def test_n1_single_state():
+    levels = _levels(1)
+    assert len(levels) == 1
+    only = levels[0]
+    assert (only.n1, only.n2, only.m, only.k) == (0, 0, 0, 0)
+
+
+def test_n2_states():
+    levels = _levels(2)
+    quadruples = {(lv.n1, lv.n2, lv.m) for lv in levels}
+    assert quadruples == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)}
+    assert sorted(lv.k for lv in levels) == [-1, 0, 0, 1]
+
+
+def test_n3_states():
+    levels = _levels(3)
+    assert len(levels) == 9
+    assert sorted(set(lv.k for lv in levels)) == [-2, -1, 0, 1, 2]
+    # exhaustive: every (n1, n2, |m|) composition of n - 1 = 2
+    assert all(lv.n1 + lv.n2 + abs(lv.m) == 2 for lv in levels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_degeneracy_count(n):
+    levels = _levels(n)
+    assert len(levels) == n * n
+    assert len({(lv.n1, lv.n2, lv.m) for lv in levels}) == n * n
+
+
+def test_descending_k_order():
+    levels = _levels(4)
+    ks = [lv.k for lv in levels]
+    assert ks == sorted(ks, reverse=True)
+    # within one k, by n1, then m
+    assert levels == sorted(levels, key=lambda lv: (-lv.k, lv.n1, lv.m))
+
+
+def test_out_of_range_rejected():
+    for bad in (0, -1, 51):
+        with pytest.raises(ValueError):
+            _levels(bad)
+
+
+def test_quantum_number_constraint_enforced():
+    with pytest.raises(ValueError):
+        ParabolicLevel(n=2, n1=1, n2=1, m=0, k=0, energy_unperturbed=-1.0, shift=0.0)
+    with pytest.raises(ValueError):
+        ParabolicLevel(n=2, n1=1, n2=0, m=0, k=-1, energy_unperturbed=-1.0, shift=0.0)
+    with pytest.raises(ValueError):
+        ParabolicLevel(n=2, n1=-1, n2=2, m=0, k=-3, energy_unperturbed=-1.0, shift=0.0)
+
+
 def test_shift_zero_cases(consts, terrestrial_field):
-    comp = _synthetic_composites(asymmetry=0.0)
-    level = enumerate_levels(2)[0]
-    assert first_order_shift(level, comp, terrestrial_field, consts) == 0.0
-    comp2 = _synthetic_composites()
-    center = [lv for lv in enumerate_levels(2) if lv.k == 0][0]
-    assert first_order_shift(center, comp2, terrestrial_field, consts) == 0.0
-    assert first_order_shift(level, comp2, FieldSpec(magnitude=0.0), consts) == 0.0
+    assert all(lv.shift == 0.0 for lv in _levels(2, asymmetry=0.0))
+    assert all(lv.shift == 0.0 for lv in _levels(2) if lv.k == 0)
+    assert all(lv.shift == 0.0 for lv in _levels(2, g=0.0))
     # zero shifts carry no sign, whatever the sign of the asymmetry or of k
     for asymmetry in (1.0e-30, -1.0e-30):
         comp3 = _synthetic_composites(asymmetry=asymmetry)
@@ -93,11 +99,8 @@ def test_shift_zero_cases(consts, terrestrial_field):
 
 
 def test_shift_ratio_linear_in_nk(consts, terrestrial_field):
-    comp = _synthetic_composites()
-    lv22 = [lv for lv in enumerate_levels(2) if lv.k == 1][0]
-    lv32 = [lv for lv in enumerate_levels(3) if lv.k == 2][0]
-    a = first_order_shift(lv22, comp, terrestrial_field, consts)
-    b = first_order_shift(lv32, comp, terrestrial_field, consts)
+    a = next(lv.shift for lv in _levels(2) if lv.k == 1)
+    b = next(lv.shift for lv in _levels(3) if lv.k == 2)
     assert a / b == pytest.approx((2.0 * 1.0) / (3.0 * 2.0), rel=1e-14)
 
 
@@ -112,8 +115,7 @@ def test_shift_reduces_to_force_times_bohr(consts):
         mass_asymmetry=9.1e-31,
     )
     field = FieldSpec(magnitude=9.8)
-    level = [lv for lv in enumerate_levels(2) if lv.k == 1][0]
-    shift = first_order_shift(level, comp, field, consts)
+    shift = next(lv.shift for lv in evaluate_levels(2, comp, field, consts) if lv.k == 1)
     force = comp.mass_asymmetry * field.magnitude
     bohr = consts.hbar / (comp.reduced_mass * consts.c * consts.alpha)
     assert shift == pytest.approx(-3.0 * force * bohr, rel=1e-14)
@@ -147,11 +149,10 @@ def test_shift_antisymmetry(n, asymmetry, g, consts):
     comp = _synthetic_composites(asymmetry)
     field = FieldSpec(magnitude=g)
     if _below_normal_range(n, asymmetry, g, consts):
-        level = next(lv for lv in enumerate_levels(n) if lv.k == 1)
         with pytest.raises(UnrepresentableError):
-            first_order_shift(level, comp, field, consts)
+            evaluate_levels(n, comp, field, consts)
         return
-    by_k = {lv.k: first_order_shift(lv, comp, field, consts) for lv in enumerate_levels(n)}
+    by_k = {lv.k: lv.shift for lv in evaluate_levels(n, comp, field, consts)}
     for k in range(1, n):
         assert by_k[k] == -by_k[-k]
 
@@ -169,7 +170,7 @@ def _assert_table_structure(table, n):
     assert len(table.sublevels) == 2 * n - 1
     assert sum(sub.multiplicity for sub in table.sublevels) == n * n
     # multiplicities agree with exhaustive enumeration
-    per_k = Counter(lv.k for lv in enumerate_levels(n))
+    per_k = Counter(lv.k for lv in _levels(n))
     assert {sub.k: sub.multiplicity for sub in table.sublevels} == per_k
     # Uniform spacing in the shifts.
     for upper, lower in zip(table.sublevels, table.sublevels[1:]):
@@ -248,9 +249,9 @@ def test_sign_coherence(consts, terrestrial_field):
 def test_evaluated_levels_fill_energies(consts, terrestrial_field):
     comp = _synthetic_composites()
     levels = evaluate_levels(2, comp, terrestrial_field, consts)
-    assert all(lv.energy_unperturbed is not None and lv.shift is not None for lv in levels)
     e0 = unperturbed_energy(2, comp, consts)
     assert all(lv.energy_unperturbed == e0 for lv in levels)
+    assert [lv.shift != 0.0 for lv in levels] == [lv.k != 0 for lv in levels]
 
 
 def test_table_shifts_match_per_state_shifts(consts, terrestrial_field):
@@ -258,5 +259,5 @@ def test_table_shifts_match_per_state_shifts(consts, terrestrial_field):
     for n in (2, 4):
         table = splitting_table(n, comp, terrestrial_field, consts)
         by_k = {sub.k: sub.shift for sub in table.sublevels}
-        for level in enumerate_levels(n):
-            assert first_order_shift(level, comp, terrestrial_field, consts) == by_k[level.k]
+        for level in evaluate_levels(n, comp, terrestrial_field, consts):
+            assert level.shift == by_k[level.k]
