@@ -40,7 +40,6 @@ from .parabolic import (
     ParabolicLevel,
     evaluate_levels,
     splitting_table,
-    unperturbed_energy,
 )
 from .separation import (
     FieldSpec,

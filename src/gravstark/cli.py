@@ -22,7 +22,7 @@ from .constants import atomic_scale, codata_defaults
 from .errors import EigensolverError, GravstarkError, representable
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
-from .parabolic import evaluate_levels, splitting_table, unperturbed_energy
+from .parabolic import evaluate_levels, splitting_table
 from .separation import FieldSpec, frame_discrepancy, separate_gravitational
 from .tables import emit_record, emit_table
 
@@ -176,13 +176,12 @@ def _cmd_split(args: argparse.Namespace, sink: IO[str]) -> int:
         return EXIT_OK
 
     table = splitting_table(args.n, comp, field, consts)
-    e0 = unperturbed_energy(args.n, comp, consts)
     rows = [
         {
             "n": table.n,
             "k": sub.k,
             "multiplicity": sub.multiplicity,
-            "E0_J": e0,
+            "E0_J": table.unperturbed,
             "shift_J": sub.shift,
             "E_J": sub.energy,
         }

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import representable
+
 __all__ = [
     "PhysicalConstants",
     "AtomicUnitScale",
@@ -48,18 +50,10 @@ class AtomicUnitScale:
     remaining scales follow from those two.
     """
 
-    reduced_mass: float    # kg
     energy_hartree: float  # J
     length_bohr: float     # m
     time_atomic: float     # s
     force_atomic: float    # N
-
-    def __post_init__(self) -> None:
-        for name in ("reduced_mass", "energy_hartree", "length_bohr", "time_atomic", "force_atomic"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if abs(self.force_atomic - self.energy_hartree / self.length_bohr) > 1e-12 * self.force_atomic:
-            raise ValueError("force_atomic disagrees with energy_hartree / length_bohr")
 
 
 def codata_defaults() -> PhysicalConstants:
@@ -76,15 +70,14 @@ def codata_defaults() -> PhysicalConstants:
 
 
 def atomic_scale(constants: PhysicalConstants, mu: float) -> AtomicUnitScale:
-    """Atomic-unit scales for the reduced mass ``mu`` (kg)."""
+    """Atomic-unit scales for the reduced mass ``mu`` (kg), each a normal float."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("reduced mass must be strictly positive and finite")
-    energy = mu * constants.c**2 * constants.alpha**2
-    length = constants.hbar / (mu * constants.c * constants.alpha)
+    energy = representable("Hartree energy", mu * constants.c**2 * constants.alpha**2)
+    length = representable("Bohr radius", constants.hbar / (mu * constants.c * constants.alpha))
     return AtomicUnitScale(
-        reduced_mass=mu,
         energy_hartree=energy,
         length_bohr=length,
-        time_atomic=constants.hbar / energy,
-        force_atomic=energy / length,
+        time_atomic=representable("atomic time", constants.hbar / energy),
+        force_atomic=representable("atomic force", energy / length),
     )

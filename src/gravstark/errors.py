@@ -52,8 +52,8 @@ class UnrepresentableError(GravstarkError):
     """A result that the inputs define overflows or underflows a float."""
 
 
-def representable(name: str, value: float, *factors: float) -> float:
-    """``value``, a closed-form result named ``name``, checked for range.
+def representable(name: str, value: float, *factors: float, exponent: int = 0) -> float:
+    """``value * 2**exponent``, a closed-form result named ``name``, checked for range.
 
     If one of ``factors`` is exactly 0 the result is +0.0.  Otherwise it must
     be a finite normal float: 0, a subnormal, inf or nan means the product or
@@ -62,9 +62,29 @@ def representable(name: str, value: float, *factors: float) -> float:
     """
     if 0.0 in factors:
         return 0.0
+    try:
+        value = math.ldexp(value, exponent)
+    except OverflowError:
+        value = math.copysign(math.inf, value)
     if math.isfinite(value) and abs(value) >= sys.float_info.min:
         return value
     raise UnrepresentableError(f"{name} is {value!r}: outside the float range")
+
+
+def _carried(factors, divisors=()) -> tuple[float, int]:
+    """The product of ``factors``, divided by each of ``divisors`` in turn, as
+    (mantissa, binary exponent) with 0.5 <= |mantissa| < 1 (or 0).  Partial
+    results never leave the float range, and each step rounds as the plain
+    left-to-right expression does wherever its partial results are normal."""
+    mantissa, exponent = 1.0, 0
+    for factor in factors:
+        part, power = math.frexp(factor)
+        mantissa, exponent = mantissa * part, exponent + power
+    for divisor in divisors:
+        part, power = math.frexp(divisor)
+        mantissa, exponent = mantissa / part, exponent - power
+    part, power = math.frexp(mantissa)
+    return part, exponent + power
 
 
 class PropagationError(GravstarkError):

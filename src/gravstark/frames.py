@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError, representable
+from .errors import DomainEscapeError, GridResolutionError, representable
 from .wavepacket import (
     PropagationSpec,
     Wavefunction1D,
@@ -120,6 +120,8 @@ def frame_equivalence_check(
     predicted phase is removed; ``fidelity`` is phase-blind and compares the
     paths as they are.
 
+    A run whose kicked momentum band m |a| T / hbar + 10 / (2 SIGMA) reaches
+    pi / dx fails with ``GridResolutionError`` before either path is built.
     A run too large for its grid fails with ``BoundaryEscapeError`` when either
     path reaches the grid edge at a checked step, or with ``DomainEscapeError``
     when the final frame shift of path A would carry its support off the grid.
@@ -129,6 +131,9 @@ def frame_equivalence_check(
     if not math.isfinite(acceleration):
         raise ValueError("acceleration must be finite")
     initial = gaussian_packet(X_MIN, X_MAX, grid_points, sigma=SIGMA)
+    band = MASS * abs(acceleration) * total_time + 10.0 / (2.0 * SIGMA)
+    if band >= math.pi / initial.dx:
+        raise GridResolutionError(f"kicked momentum band {band:.3g} reaches pi / dx")
     spec = PropagationSpec(
         potential=MASS * acceleration * initial.grid(),
         mass=MASS,

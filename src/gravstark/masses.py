@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants, codata_defaults
+from .errors import _carried, representable
 
 __all__ = [
     "MassModel",
@@ -60,19 +61,23 @@ class CompositeMasses:
 
 
 def derive_composites(model: MassModel) -> CompositeMasses:
-    """All composite masses of a configuration."""
-    total = model.m_e + model.m_p
-    # Gravitational masses below 2**-600 kg are carried times 2**600, so that
-    # their products with the inertial masses cannot underflow where the
-    # asymmetry itself is a normal float; a power of two changes no bit of a
-    # normal-range result.  Adding 0.0 turns -0.0 into 0.0.
-    scale = 2.0**600 if max(abs(model.mbar_e), abs(model.mbar_p)) < 2.0**-600 else 1.0
-    products = (scale * model.mbar_p) * model.m_e - (scale * model.mbar_e) * model.m_p
+    """All composite masses of a configuration, mu and both products of A
+    carried as mantissa and exponent.  A is +0.0 exactly when the two products
+    are equal; M, mu or a nonzero A outside the normal float range raises
+    ``UnrepresentableError``."""
+    total = representable("total mass", model.m_e + model.m_p)
+    mu, mu_exponent = _carried((model.m_e, model.m_p), (total,))
+    up, down = _carried((model.mbar_p, model.m_e)), _carried((model.mbar_e, model.m_p))
+    # Aligned on the larger nonzero product, whose mantissa then keeps its bits.
+    top = max(up, down, key=lambda product: (product[0] != 0.0, product[1]))[1]
+    difference = math.ldexp(up[0], up[1] - top) - math.ldexp(down[0], down[1] - top)
+    asymmetry, exponent = _carried((difference,), (total,))
     return CompositeMasses(
         total_mass=total,
-        reduced_mass=model.m_e * model.m_p / total,
+        reduced_mass=representable("reduced mass", mu, exponent=mu_exponent),
         grav_total_mass=model.mbar_e + model.mbar_p,
-        mass_asymmetry=products / total / scale + 0.0,
+        mass_asymmetry=representable("mass asymmetry", asymmetry, difference,
+                                     exponent=exponent + top),
     )
 
 

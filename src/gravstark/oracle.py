@@ -51,7 +51,8 @@ from .errors import (
     EigensolverError,
     EmptyWindowError,
     GridResolutionError,
-    UnrepresentableError,
+    _carried,
+    representable,
 )
 from .masses import CompositeMasses
 from .parabolic import MAX_PRINCIPAL
@@ -280,32 +281,25 @@ def degenerate_pt(
     The eigenvalues lambda of z (Bohr radii) come from ``_manifold_spectrum``,
     memoized per n, so a repeat n runs no basis build, quadrature or
     eigensolve, whatever the masses and the field.  Each call scales them to
-    joules as -(A g a_mu) lambda, with a_mu = hbar / (mu alpha c), factor by
-    factor through ``frexp`` so that no partial product over- or underflows
-    where the shift itself is representable.  Returned shifts ascend; at n = 1
-    (zero by parity) and at zero coupling the result is ``[(0.0, n^2)]``.
+    joules as -(A g a_mu) lambda, with a_mu = hbar / (mu alpha c) carried as
+    mantissa and exponent, and each shift must be a normal float (else
+    ``UnrepresentableError``).  Returned shifts ascend; at n = 1 (zero by
+    parity) and at zero coupling the result is ``[(0.0, n^2)]``.
     """
     if not 1 <= n <= MAX_PRINCIPAL:
         raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
     if not composites.reduced_mass > 0.0:
         raise ValueError("reduced mass must be strictly positive")
-    # -A g a_mu with a_mu = hbar / (mu alpha c), carried as mantissa * 2**exponent.
-    mantissa, exponent = -1.0, 0
-    for factor in (composites.mass_asymmetry, field.magnitude, constants.hbar):
-        part, power = math.frexp(factor)
-        mantissa, exponent = mantissa * part, exponent + power
-    for factor in (composites.reduced_mass, constants.alpha, constants.c):
-        part, power = math.frexp(factor)
-        mantissa, exponent = mantissa / part, exponent - power
+    mantissa, exponent = _carried(
+        (-1.0, composites.mass_asymmetry, field.magnitude, constants.hbar),
+        (composites.reduced_mass, constants.alpha, constants.c),
+    )
     if n == 1 or mantissa == 0.0:
         return [(0.0, n * n)]
-    try:
-        shifts = [
-            (math.ldexp(mantissa * value, exponent) + 0.0, count)
-            for value, count in _manifold_spectrum(n)
-        ]
-    except OverflowError:
-        raise UnrepresentableError(f"oracle shifts at n = {n} exceed the float range") from None
+    shifts = [
+        (representable(f"oracle shift at n = {n}", mantissa * value, value, exponent=exponent), count)
+        for value, count in _manifold_spectrum(n)
+    ]
     return shifts if mantissa > 0.0 else shifts[::-1]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants
-from .errors import representable
+from .errors import _carried, representable
 from .masses import CompositeMasses
 from .separation import FieldSpec
 
@@ -23,7 +23,6 @@ __all__ = [
     "ParabolicLevel",
     "Sublevel",
     "SplittingTable",
-    "unperturbed_energy",
     "evaluate_levels",
     "splitting_table",
 ]
@@ -74,46 +73,34 @@ class SplittingTable:
 
     n: int
     sublevels: tuple[Sublevel, ...]
-    spacing: float  # J, gap between adjacent sublevels
+    spacing: float       # J, gap between adjacent sublevels
+    unperturbed: float   # J, field-free level energy E0
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_PRINCIPAL:
-        raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
-
-
-def unperturbed_energy(n: int, composites: CompositeMasses, constants: PhysicalConstants) -> float:
-    """Field-free level energy -mu c^2 alpha^2 / (2 n^2) in joules."""
-    _check_n(n)
-    return representable(
-        f"unperturbed energy at n = {n}",
-        -composites.reduced_mass * constants.c**2 * constants.alpha**2 / (2.0 * n * n),
-    )
-
-
-def _shift(
+def _manifold(
     n: int,
-    k: int,
     composites: CompositeMasses,
     field: FieldSpec,
     constants: PhysicalConstants,
-) -> float:
-    # Below |A| g = 2**-800 the product A g hbar would underflow, so the smaller
-    # factor is carried times 2**800 and the one final division takes that back
-    # out; that changes no bit of a normal-range result.
+) -> tuple[float, list[tuple[int, float]]]:
+    """E0 = -mu c^2 alpha^2 / (2 n^2) and (k, shift) for k = n - 1 .. 1 - n, in joules.
+
+    -3 A g hbar n and 2 mu alpha c are carried as mantissa and exponent; each
+    quotient head * k / down lies in [0.5, 98) and rounds as the whole would."""
+    if not 1 <= n <= MAX_PRINCIPAL:
+        raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
+    e0 = representable(
+        f"unperturbed energy at n = {n}",
+        -composites.reduced_mass * constants.c**2 * constants.alpha**2 / (2.0 * n * n),
+    )
     a, g = composites.mass_asymmetry, field.magnitude
-    scale = 1.0
-    if abs(a) * g < 2.0**-800:
-        scale = 2.0**800
-        if abs(a) < g:
-            a *= scale
-        else:
-            g *= scale
-    shift = (
-        -3.0 * a * g * constants.hbar * n * k
-        / (2.0 * composites.reduced_mass * constants.alpha * constants.c)
-    ) / scale
-    return representable(f"first-order shift at n = {n}, k = {k}", shift, a, g, k)
+    head, head_exponent = _carried((-3.0, a, g, constants.hbar, n))
+    down, down_exponent = _carried((2.0, composites.reduced_mass, constants.alpha, constants.c))
+    return e0, [
+        (k, representable(f"first-order shift at n = {n}, k = {k}", head * k / down,
+                          a, g, k, exponent=head_exponent - down_exponent))
+        for k in range(n - 1, -n, -1)
+    ]
 
 
 def evaluate_levels(
@@ -124,16 +111,14 @@ def evaluate_levels(
 ) -> list[ParabolicLevel]:
     """All n^2 states of the n-manifold with their unperturbed energies and
     first-order shifts, ordered by descending k, then (n1, m)."""
-    e0 = unperturbed_energy(n, composites, constants)
+    e0, shifts = _manifold(n, composites, field, constants)
     levels = []
-    for n1 in range(n):
-        for n2 in range(n - n1):
-            q = n - 1 - n1 - n2
+    for k, shift in shifts:
+        # n1 - n2 = k and n1 + n2 + |m| = n - 1, so |m| = n - 1 + k - 2 n1 >= 0.
+        for n1 in range(max(k, 0), (n - 1 + k) // 2 + 1):
+            q = n - 1 + k - 2 * n1
             for m in ((0,) if q == 0 else (-q, q)):
-                k = n1 - n2
-                shift = _shift(n, k, composites, field, constants)
-                levels.append(ParabolicLevel(n, n1, n2, m, k, e0, shift))
-    levels.sort(key=lambda lv: (-lv.k, lv.n1, lv.m))
+                levels.append(ParabolicLevel(n, n1, n1 - k, m, k, e0, shift))
     return levels
 
 
@@ -144,11 +129,10 @@ def splitting_table(
     constants: PhysicalConstants,
 ) -> SplittingTable:
     """The 2n - 1 equally spaced sublevels of the n-manifold."""
-    _check_n(n)
-    e0 = unperturbed_energy(n, composites, constants)
-    subs = []
-    for k in range(n - 1, -n, -1):
-        shift = _shift(n, k, composites, field, constants)
-        subs.append(Sublevel(k=k, shift=shift, energy=e0 + shift, multiplicity=n - abs(k)))
-    spacing = 0.0 if n == 1 else abs(_shift(n, 1, composites, field, constants))
-    return SplittingTable(n=n, sublevels=tuple(subs), spacing=spacing)
+    e0, shifts = _manifold(n, composites, field, constants)
+    subs = [
+        Sublevel(k=k, shift=shift, energy=e0 + shift, multiplicity=n - abs(k))
+        for k, shift in shifts
+    ]
+    spacing = 0.0 if n == 1 else abs(shifts[n - 2][1])   # the k = 1 entry
+    return SplittingTable(n=n, sublevels=tuple(subs), spacing=spacing, unperturbed=e0)

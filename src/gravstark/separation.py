@@ -68,9 +68,9 @@ def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamil
     comp = derive_composites(model)
     g = field.magnitude
     return SeparatedHamiltonian(
-        cm_kinetic_mass=representable("cm_kinetic_mass", comp.total_mass),
+        cm_kinetic_mass=comp.total_mass,
         cm_coupling=representable("cm_coupling", comp.grav_total_mass * g, comp.grav_total_mass, g),
-        internal_kinetic_mass=representable("internal_kinetic_mass", comp.reduced_mass),
+        internal_kinetic_mass=comp.reduced_mass,
         internal_coupling=representable(
             "internal_coupling", comp.mass_asymmetry * g, comp.mass_asymmetry, g
         ),

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gravstark.cli import run
 from gravstark.constants import codata_defaults
@@ -455,26 +455,30 @@ def test_unopenable_output_exits_2(argv, tmp_path, capsys):
 
 
 def test_frame_check_phase_overflow_exits_3(capsys):
-    # a t = 1e80 is finite, but a^2 t^3 / 3 overflows: the frame phase would
-    # be nan, so the transform stops before building it and warns nothing.
-    argv = ["frame-check", "--a", "1e160", "--time", "1e-80", "--grid", "512", "--steps", "64"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run(argv)
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("numerical failure: ")
-    assert captured.err.count("\n") == 1
+    # Each run is refused before a path is built, and warns nothing: at
+    # a = 1e160, t = 1e-80 the action a^2 t^3 / 3 overflows, and at a = 1e154,
+    # t = 1e-77 the finite phase m a t = 1e77 lies far beyond pi / dx = 33.5,
+    # where the grid cannot resolve it (this run once printed fidelity 0.43).
+    for a, time in [("1e160", "1e-80"), ("1e154", "1e-77")]:
+        argv = ["frame-check", "--a", a, "--time", time, "--grid", "512", "--steps", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_frame_check_escape_exits_3(capsys):
-    # the accelerated path is pushed 25 units across a 48-unit grid
-    code = run(["frame-check", "--a", "50", "--time", "1", "--grid", "512", "--steps", "256"])
+    # the accelerated path is pushed 25 units across a 48-unit grid; its kicked
+    # band 55 fits below pi / dx = 134 on 2048 points, not below 33.5 on 512
+    code = run(["frame-check", "--a", "50", "--time", "1", "--grid", "2048", "--steps", "4096"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.startswith("numerical failure: wavepacket reached the grid boundary")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
@@ -507,14 +511,15 @@ def test_unusable_stability_grid_exits_2(flags, capsys):
 # --- every accepted scalar input: finite normal numbers, or exit 2 or 3 ---------
 
 _EXTREMES = [0.0, 1e-300, -1e-300, 1e300, -1e300]
+_INERTIAL_EXTREMES = [1e-300, 1e-110, 1e300, 1e308]
 
 
-def _grav_mass_flags(flag, reference):
-    """``--mbar-x=KG`` or ``--mbar-x-ratio=R``, with the kilograms it asks for."""
-    extreme = st.tuples(st.sampled_from(["", "-ratio"]), st.sampled_from(_EXTREMES)).map(
+def _mass_flags(flag, reference, extremes, ratios):
+    """``--x=KG`` or ``--x-ratio=R``, with the kilograms it asks for."""
+    extreme = st.tuples(st.sampled_from(["", "-ratio"]), st.sampled_from(extremes)).map(
         lambda f: (f"{flag}{f[0]}={f[1]!r}", f[1] * reference if f[0] else f[1])
     )
-    ratio = st.floats(-3.0, 3.0).map(lambda r: (f"{flag}-ratio={r!r}", r * reference))
+    ratio = ratios.map(lambda r: (f"{flag}-ratio={r!r}", r * reference))
     return st.one_of(extreme, ratio)
 
 
@@ -546,22 +551,49 @@ def _printed_floats(out, output_format):
 
 
 @settings(max_examples=250)
+# Each product mbar m overflows a float, but A = mbar_p m_e / M is 1e300 kg.
+@example(
+    command=(["lifetime"], "--g"),
+    m_e=("--m-e=1e+308", 1e308),
+    m_p=("--m-p-ratio=1.0", _CONSTS.m_p_ref),
+    mbar_e=("--mbar-e-ratio=1.0", _CONSTS.m_e_ref),
+    mbar_p=("--mbar-p=1e+300", 1e300),
+    equivalence=False,
+    g=0.0,
+    output_format="json",
+)
+# Each product mbar m underflows to 0, but A is about -9.1e-221 kg: not stable.
+@example(
+    command=(["lifetime"], "--g"),
+    m_e=("--m-e=1e-110", 1e-110),
+    m_p=("--m-p=1e-300", 1e-300),
+    mbar_e=("--mbar-e-ratio=1.0", _CONSTS.m_e_ref),
+    mbar_p=("--mbar-p=-1e-300", -1e-300),
+    equivalence=False,
+    g=9.8,
+    output_format="json",
+)
 @given(
     command=_COMMANDS,
-    mbar_e=_grav_mass_flags("--mbar-e", _CONSTS.m_e_ref),
-    mbar_p=_grav_mass_flags("--mbar-p", _CONSTS.m_p_ref),
+    m_e=_mass_flags("--m-e", _CONSTS.m_e_ref, _INERTIAL_EXTREMES, st.floats(0.5, 2.0)),
+    m_p=_mass_flags("--m-p", _CONSTS.m_p_ref, _INERTIAL_EXTREMES, st.floats(0.5, 2.0)),
+    mbar_e=_mass_flags("--mbar-e", _CONSTS.m_e_ref, _EXTREMES, st.floats(-3.0, 3.0)),
+    mbar_p=_mass_flags("--mbar-p", _CONSTS.m_p_ref, _EXTREMES, st.floats(-3.0, 3.0)),
     equivalence=st.sampled_from([False, False, False, True]),
     g=_FIELD,
     output_format=st.sampled_from(["csv", "json"]),
 )
 def test_scalar_commands_print_normal_floats_or_exit_2_or_3(
-    command, mbar_e, mbar_p, equivalence, g, output_format
+    command, m_e, m_p, mbar_e, mbar_p, equivalence, g, output_format
 ):
     argv, field_flag = command
+    masses = [m_e[0], m_p[0]]
     if equivalence:
-        masses, resolved = ["--equivalence"], (_CONSTS.m_e_ref, _CONSTS.m_p_ref)
+        masses.append("--equivalence")
+        m_e_kg, m_p_kg, mbar_e_kg, mbar_p_kg = m_e[1], m_p[1], m_e[1], m_p[1]
     else:
-        masses, resolved = [mbar_e[0], mbar_p[0]], (mbar_e[1], mbar_p[1])
+        masses += [mbar_e[0], mbar_p[0]]
+        m_e_kg, m_p_kg, mbar_e_kg, mbar_p_kg = m_e[1], m_p[1], mbar_e[1], mbar_p[1]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run([*argv, *masses, f"{field_flag}={g!r}", "--format", output_format])
@@ -574,19 +606,19 @@ def test_scalar_commands_print_normal_floats_or_exit_2_or_3(
         return
     numbers, rows = _printed_floats(out, output_format)
     for value in numbers:
-        assert math.isfinite(value), (argv, value)
+        assert math.isfinite(value), (argv, masses, value)
         assert math.copysign(1.0, value) == 1.0 or value != 0.0, (argv, "-0.0")
-        assert value == 0.0 or abs(value) >= sys.float_info.min, (argv, value)
+        assert value == 0.0 or abs(value) >= sys.float_info.min, (argv, masses, value)
     if argv[0] == "lifetime":
         # A M = mbar_p m_e - mbar_e m_p in exact arithmetic.  The package rounds
         # both products, so A within a few ulps of them may come out either way.
         products = (
-            Fraction(resolved[1]) * Fraction(_CONSTS.m_e_ref),
-            Fraction(resolved[0]) * Fraction(_CONSTS.m_p_ref),
+            Fraction(mbar_p_kg) * Fraction(m_e_kg),
+            Fraction(mbar_e_kg) * Fraction(m_p_kg),
         )
         asymmetry = products[0] - products[1]
         stable = rows[0]["stable"] in (True, "true")
         if asymmetry == 0 or g == 0.0:
-            assert stable
+            assert stable, (masses, g)
         elif abs(asymmetry) > 2.0**-50 * max(map(abs, products)):
-            assert not stable
+            assert not stable, (masses, g)

@@ -98,7 +98,7 @@ PUBLIC_NAMES = {
     "CompositeMasses", "MassModel", "derive_composites", "model_with_asymmetry",
     "FieldSpec", "separate_gravitational", "verify_separability",
     # closed forms
-    "ParabolicLevel", "evaluate_levels", "splitting_table", "unperturbed_energy",
+    "ParabolicLevel", "evaluate_levels", "splitting_table",
     "closed_form_lifetime", "compare_lifetimes", "wkb_rate",
     # numerical routes
     "degenerate_pt", "radial_eigensolve", "stabilization_scan",
@@ -113,7 +113,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 39
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the

@@ -5,15 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from gravstark import parabolic
 from gravstark.constants import codata_defaults
-from gravstark.errors import UnrepresentableError
-from gravstark.masses import CompositeMasses
-from gravstark.parabolic import (
-    ParabolicLevel,
-    evaluate_levels,
-    splitting_table,
-    unperturbed_energy,
-)
+from gravstark.errors import UnrepresentableError, representable
+from gravstark.masses import CompositeMasses, MassModel, derive_composites
+from gravstark.parabolic import ParabolicLevel, evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec
 
 
@@ -157,13 +153,14 @@ def test_shift_antisymmetry(n, asymmetry, g, consts):
         assert by_k[k] == -by_k[-k]
 
 
-def test_unperturbed_energy_bohr_formula(consts):
+def test_unperturbed_energy_bohr_formula(consts, terrestrial_field):
     comp = _synthetic_composites()
-    e1 = unperturbed_energy(1, comp, consts)
+    e1 = splitting_table(1, comp, terrestrial_field, consts).unperturbed
     assert e1 == pytest.approx(
         -comp.reduced_mass * consts.c**2 * consts.alpha**2 / 2.0, rel=1e-14
     )
-    assert unperturbed_energy(2, comp, consts) == pytest.approx(e1 / 4.0, rel=1e-14)
+    e2 = splitting_table(2, comp, terrestrial_field, consts).unperturbed
+    assert e2 == pytest.approx(e1 / 4.0, rel=1e-14)
 
 
 def _assert_table_structure(table, n):
@@ -190,7 +187,70 @@ def test_table_structure_property(n, asymmetry, g, consts):
         with pytest.raises(UnrepresentableError):
             splitting_table(n, comp, field, consts)
         return
-    _assert_table_structure(splitting_table(n, comp, field, consts), n)
+    table = splitting_table(n, comp, field, consts)
+    _assert_table_structure(table, n)
+    # Each state carries its sublevel's shift bit for bit, in (-k, n1, m) order.
+    levels = evaluate_levels(n, comp, field, consts)
+    assert levels == sorted(levels, key=lambda lv: (-lv.k, lv.n1, lv.m))
+    by_k = {sub.k: sub.shift.hex() for sub in table.sublevels}
+    assert [lv.shift.hex() for lv in levels] == [by_k[lv.k] for lv in levels]
+
+
+def _normal(*values):
+    return all(sys.float_info.min <= abs(v) < math.inf for v in values)
+
+
+_decades = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_signed = st.builds(lambda sign, value: sign * value, st.sampled_from([-1.0, 1.0]), _decades)
+
+
+@given(
+    m_e=_decades, m_p=_decades, mbar_e=_signed, mbar_p=_signed,
+    g=_decades, n=st.integers(2, 50),
+)
+def test_carried_forms_match_naive_expressions(m_e, m_p, mbar_e, mbar_p, g, n, consts):
+    # Wherever every partial result of the plain left-to-right expression is
+    # a normal float, the carried mantissa and exponent round identically.
+    total = m_e + m_p
+    up, down = mbar_p * m_e, mbar_e * m_p
+    if not _normal(total, m_e * m_p, m_e * m_p / total, up, down):
+        return
+    comp = derive_composites(MassModel(m_e=m_e, m_p=m_p, mbar_e=mbar_e, mbar_p=mbar_p))
+    assert comp.reduced_mass == m_e * m_p / total
+    if up == down:
+        assert comp.mass_asymmetry.hex() == "0x0.0p+0"
+        return
+    if not _normal(up - down, (up - down) / total):
+        return
+    assert comp.mass_asymmetry == (up - down) / total
+    a, mu = comp.mass_asymmetry, comp.reduced_mass
+    numerator = [-3.0 * a]
+    for factor in (g, consts.hbar, n):
+        numerator.append(numerator[-1] * factor)
+    denominator = [2.0 * mu, 2.0 * mu * consts.alpha, 2.0 * mu * consts.alpha * consts.c]
+    ks = [k for k in range(1 - n, n) if k != 0]
+    products = [numerator[-1] * k for k in ks]
+    naive = [product / denominator[-1] for product in products]
+    if not _normal(*numerator, *denominator, *products, *naive):
+        return
+    table = splitting_table(n, comp, FieldSpec(magnitude=g), consts)
+    shifts = {sub.k: sub.shift for sub in table.sublevels}
+    assert [shifts[k] for k in ks] == naive
+
+
+@pytest.mark.parametrize("n", [1, 4, 50])
+@pytest.mark.parametrize("build", [splitting_table, evaluate_levels])
+def test_each_sublevel_shift_is_evaluated_once(n, build, consts, terrestrial_field, monkeypatch):
+    names = []
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return representable(name, *args, **kwargs)
+
+    monkeypatch.setattr(parabolic, "representable", counting)
+    build(n, _synthetic_composites(), terrestrial_field, consts)
+    shifts = [name for name in names if name.startswith("first-order shift")]
+    assert len(shifts) == len(set(shifts)) == 2 * n - 1
 
 
 def test_n2_multiplicities(consts, terrestrial_field):
@@ -249,7 +309,7 @@ def test_sign_coherence(consts, terrestrial_field):
 def test_evaluated_levels_fill_energies(consts, terrestrial_field):
     comp = _synthetic_composites()
     levels = evaluate_levels(2, comp, terrestrial_field, consts)
-    e0 = unperturbed_energy(2, comp, consts)
+    e0 = splitting_table(2, comp, terrestrial_field, consts).unperturbed
     assert all(lv.energy_unperturbed == e0 for lv in levels)
     assert [lv.shift != 0.0 for lv in levels] == [lv.k != 0 for lv in levels]
 
