@@ -21,15 +21,10 @@ from .errors import (
     PropagationError,
     ResourceLimitError,
     StabilityBoundError,
-    StableAtomSignal,
     UndefinedRatioError,
     UnrepresentableError,
 )
-from .ionization import (
-    closed_form_lifetime,
-    compare_lifetimes,
-    wkb_rate,
-)
+from .ionization import compare_lifetimes
 from .masses import (
     CompositeMasses,
     MassModel,
@@ -38,6 +33,7 @@ from .masses import (
 )
 from .parabolic import (
     ParabolicLevel,
+    degenerate_pt,
     evaluate_levels,
     splitting_table,
 )
@@ -50,7 +46,7 @@ from .separation import (
 
 _LAZY = {
     "frames": ("frame_equivalence_check",),
-    "oracle": ("degenerate_pt", "radial_eigensolve", "stabilization_scan"),
+    "oracle": ("radial_eigensolve", "stabilization_scan"),
     "wavepacket": ("PropagationSpec", "Wavefunction1D", "fidelity", "gaussian_packet", "propagate"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}

@@ -8,7 +8,8 @@ kilograms or as dimensionless ratios against the CODATA reference masses;
 3 numerical failure.  Identical inputs produce byte-identical output.
 
 The numerical routes (``oracle``, ``frames``) are imported inside the
-handlers that call them, so the scalar subcommands load no numpy.
+handlers, or by ``degenerate_pt``, only when a call needs them, so the
+scalar subcommands load no numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .constants import atomic_scale, codata_defaults
 from .errors import EigensolverError, GravstarkError, representable
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
-from .parabolic import evaluate_levels, splitting_table
+from .parabolic import degenerate_pt, evaluate_levels, splitting_table
 from .separation import FieldSpec, frame_discrepancy, separate_gravitational
 from .tables import emit_record, emit_table
 
@@ -188,8 +189,6 @@ def _cmd_split(args: argparse.Namespace, sink: IO[str]) -> int:
         for sub in table.sublevels
     ]
     if not args.no_oracle:
-        from .oracle import degenerate_pt
-
         oracle = degenerate_pt(args.n, comp, field, consts)
         for row, shift in zip(rows, _match_oracle(rows, oracle, table.spacing)):
             row["shift_oracle_J"] = shift

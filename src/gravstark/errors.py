@@ -28,10 +28,6 @@ class EmptyWindowError(GravstarkError):
     """No eigenvalue found inside (or next to) the requested energy window."""
 
 
-class StableAtomSignal(GravstarkError):
-    """Internal field coupling vanishes: infinite lifetime, nothing to estimate."""
-
-
 class UndefinedRatioError(GravstarkError):
     """Total gravitational mass is zero; the frame mass ratio is undefined."""
 

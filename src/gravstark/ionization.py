@@ -1,10 +1,12 @@
-"""Quasi-stationary lifetime of the ground state and a WKB cross-estimate.
+"""Quasi-stationary lifetime of the ground state: a closed form and a WKB
+cross-estimate, side by side in one report.
 
 With a residual internal force F = |A| g (A the mass asymmetry) the internal
 potential -1/r - F z has no bound states: the ground level becomes a
 resonance that decays by tunneling through the Coulomb-plus-linear barrier.
 
-Two estimates are provided and compared:
+``compare_lifetimes`` is the one lifetime path.  It forms |A| g once and
+reports two estimates:
 
 * the closed-form lifetime
 
@@ -13,12 +15,13 @@ Two estimates are provided and compared:
   evaluated exactly as written, in log space so astronomically large values
   never overflow, and
 
-* a WKB rate through the 1D barrier V(x) = -1/x - F x at the unperturbed
-  ground energy E = -1/2 Hartree,
+* a WKB lifetime 1 / rate through the 1D barrier V(x) = -1/x - F x at the
+  unperturbed ground energy E = -1/2 Hartree,
 
       rate = nu * exp( -2 * integral sqrt(2 (V - E)) dx ),  nu = |E| / (pi hbar),
 
-  with turning points a < b, the roots of F x^2 - x/2 + 1 = 0, in closed
+  also in log space: the rate itself underflows for every realistic field.
+  The turning points a < b are the roots of F x^2 - x/2 + 1 = 0, in closed
   form.  Since V - E = (F/x)(x - a)(b - x), the barrier integral is a
   complete elliptic one (DLMF 19.8):
 
@@ -26,8 +29,8 @@ Two estimates are provided and compared:
 
   m = 1 - a/b, with K and E from the arithmetic-geometric mean.
 
-The two exponents agree only up to an order-one factor; the comparison report
-surfaces the ratio instead of folding it into either estimate.
+The two exponents agree only up to an order-one factor; the report surfaces
+the ratio instead of folding it into either estimate.
 """
 
 from __future__ import annotations
@@ -36,51 +39,20 @@ import math
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants, atomic_scale
-from .errors import NoBarrierError, StableAtomSignal, representable
+from .errors import NoBarrierError, representable
 from .masses import CompositeMasses
 from .separation import FieldSpec
 
 __all__ = [
-    "ResonanceEstimate",
     "LifetimeComparison",
-    "closed_form_lifetime",
-    "wkb_rate",
     "compare_lifetimes",
 ]
 
 GROUND_ENERGY = -0.5          # Hartree, unperturbed ground state
 ORDER_UNITY_WINDOW = (0.1, 10.0)
-WKB_FORCE_CEILING = 1e-2      # atomic units; certified perturbative-barrier regime
 # Relative AGM stop test.  Rounding can leave the two means one ulp apart for
 # good, which is up to 2.2e-16 x, so a test at 1e-16 x need never be met.
 AGM_REL_TOL = 4e-16
-
-
-def _internal_force(composites: CompositeMasses, field: FieldSpec) -> float:
-    """|A| g in newtons.
-
-    Raises ``StableAtomSignal`` exactly when A = 0 or g = 0 in the inputs, and
-    ``UnrepresentableError`` when a nonzero |A| g leaves the float range.
-    """
-    a, g = composites.mass_asymmetry, field.magnitude
-    force = representable("internal force |A| g", abs(a) * g, a, g)
-    if force == 0.0:
-        raise StableAtomSignal(
-            "mass asymmetry times field vanishes: stationary states persist, "
-            "lifetime is infinite"
-        )
-    return force
-
-
-@dataclass(frozen=True)
-class ResonanceEstimate:
-    """Closed-form lifetime pieces; the lifetime itself only as its log10,
-    which stays finite where the lifetime would overflow."""
-
-    internal_force: float           # N, |A| g
-    tau_prefactor: float            # s
-    closed_form_exponent: float     # dimensionless
-    log10_tau_closed_form: float    # log10 of seconds
 
 
 @dataclass(frozen=True)
@@ -97,38 +69,6 @@ class LifetimeComparison:
     log10_tau_wkb: float | None = None
     exponent_ratio: float | None = None
     within_order_unity: bool | None = None
-
-
-def closed_form_lifetime(
-    composites: CompositeMasses,
-    field: FieldSpec,
-    constants: PhysicalConstants,
-) -> ResonanceEstimate:
-    """Evaluate the closed-form ground-state lifetime.
-
-    Raises ``StableAtomSignal`` when A = 0 or g = 0: with no residual force
-    there is no decay channel and the lifetime is infinite.  A nonzero
-    coupling whose force, exponent or prefactor leaves the float range raises
-    ``UnrepresentableError``.  The force magnitude |A| g enters both factors,
-    so the sign of the asymmetry is irrelevant.
-    """
-    force = _internal_force(composites, field)
-    m_e = constants.m_e_ref
-    action = representable("|A| g hbar", force * constants.hbar)
-    exponent = representable(
-        "closed-form exponent", m_e**2 * constants.c**3 * constants.alpha**3 / action
-    )
-    prefactor = representable(
-        "lifetime prefactor",
-        force * constants.hbar**2 / (4.0 * m_e**3 * constants.c**5 * constants.alpha**5),
-    )
-    log10_tau = math.log10(prefactor) + exponent / math.log(10.0)
-    return ResonanceEstimate(
-        internal_force=force,
-        tau_prefactor=prefactor,
-        closed_form_exponent=exponent,
-        log10_tau_closed_form=log10_tau,
-    )
 
 
 def _barrier_turning_points(force: float) -> tuple[float, float]:
@@ -189,38 +129,6 @@ def _barrier_exponent(force: float) -> float:
     return (4.0 / 3.0) * math.sqrt(2.0 * force * outer) * ((inner + outer) * e - 2.0 * inner * k)
 
 
-def wkb_rate(
-    composites: CompositeMasses,
-    field: FieldSpec,
-    constants: PhysicalConstants,
-) -> tuple[float, float]:
-    """(decay rate in 1/s, barrier exponent) from the semiclassical integral.
-
-    The exponent is 2 sqrt(2F) times the closed-form barrier integral between
-    the closed-form turning points.  The certified regime is an internal force
-    of at most ``WKB_FORCE_CEILING`` atomic units, where it matches 50-digit
-    arithmetic to a few ulps (5.6e-16 relative; 1.4e-15 up to F = 0.05);
-    weaker forces stay as accurate for as long as F is a normal float.  Stronger
-    forces suppress the barrier and raise ``NoBarrierError`` once the turning
-    points merge.  A force or exponent outside the float range raises
-    ``UnrepresentableError``.
-
-    The rate underflows: once the exponent reaches 745, ``exp(-exponent)`` is
-    below the smallest float and the rate returned is exactly 0.0, as it is
-    for every realistic field (the exponent is about 6e21 at g = 9.8 m/s^2).
-    Every caller in the package uses only the exponent; lifetimes are
-    reported in log space by ``compare_lifetimes``.
-    """
-    force_si = _internal_force(composites, field)
-    scale = atomic_scale(constants, composites.reduced_mass)
-    force = representable("internal force in atomic units", force_si / scale.force_atomic)
-    exponent = representable("WKB exponent", _barrier_exponent(force))
-
-    attempt_rate_au = abs(GROUND_ENERGY) / math.pi
-    rate_au = attempt_rate_au * math.exp(-exponent) if exponent < 745.0 else 0.0
-    return rate_au / scale.time_atomic, exponent
-
-
 def compare_lifetimes(
     composites: CompositeMasses,
     field: FieldSpec,
@@ -228,30 +136,46 @@ def compare_lifetimes(
 ) -> LifetimeComparison:
     """Closed-form and WKB exponents side by side, with their ratio flagged.
 
-    A = 0 or g = 0 short-circuits into a stable report; no comparison is
-    attempted.  A nonzero coupling too weak or too strong for floats raises
-    ``UnrepresentableError`` rather than reporting stable.
+    A = 0 or g = 0 short-circuits into a stable report: with no residual
+    force there is no decay channel and the lifetime is infinite.  The force
+    magnitude |A| g enters every estimate, so the sign of the asymmetry is
+    irrelevant.  A nonzero coupling whose force, exponents, prefactor or
+    atomic scale leaves the float range raises ``UnrepresentableError``
+    rather than reporting stable, and a force too strong for a barrier below
+    the ground energy raises ``NoBarrierError``.
+
+    The WKB exponent matches 50-digit arithmetic to a few ulps (5.6e-16
+    relative) for forces up to 1e-2 atomic units, 1.4e-15 up to 0.05, and
+    stays as accurate for weaker forces as long as F is a normal float.
     """
-    try:
-        closed = closed_form_lifetime(composites, field, constants)
-    except StableAtomSignal:
-        return LifetimeComparison(
-            stable=True,
-            mass_asymmetry=composites.mass_asymmetry,
-            field_magnitude=field.magnitude,
-        )
+    a, g = composites.mass_asymmetry, field.magnitude
+    force = representable("internal force |A| g", abs(a) * g, a, g)
+    if force == 0.0:
+        return LifetimeComparison(stable=True, mass_asymmetry=a, field_magnitude=g)
+    m_e = constants.m_e_ref
+    action = representable("|A| g hbar", force * constants.hbar)
+    closed_exponent = representable(
+        "closed-form exponent", m_e**2 * constants.c**3 * constants.alpha**3 / action
+    )
+    prefactor = representable(
+        "lifetime prefactor",
+        force * constants.hbar**2 / (4.0 * m_e**3 * constants.c**5 * constants.alpha**5),
+    )
+    log10_tau_closed_form = math.log10(prefactor) + closed_exponent / math.log(10.0)
+
     scale = atomic_scale(constants, composites.reduced_mass)
-    _, exponent = wkb_rate(composites, field, constants)
+    force_atomic = representable("internal force in atomic units", force / scale.force_atomic)
+    exponent = representable("WKB exponent", _barrier_exponent(force_atomic))
     attempt_rate_si = (abs(GROUND_ENERGY) / math.pi) / scale.time_atomic
     log10_tau_wkb = exponent / math.log(10.0) - math.log10(attempt_rate_si)
-    ratio = representable("exponent ratio", exponent / closed.closed_form_exponent)
+    ratio = representable("exponent ratio", exponent / closed_exponent)
     return LifetimeComparison(
         stable=False,
-        mass_asymmetry=composites.mass_asymmetry,
-        field_magnitude=field.magnitude,
-        internal_force_atomic=closed.internal_force / scale.force_atomic,
-        closed_form_exponent=closed.closed_form_exponent,
-        log10_tau_closed_form=closed.log10_tau_closed_form,
+        mass_asymmetry=a,
+        field_magnitude=g,
+        internal_force_atomic=force_atomic,
+        closed_form_exponent=closed_exponent,
+        log10_tau_closed_form=log10_tau_closed_form,
         wkb_exponent=exponent,
         log10_tau_wkb=log10_tau_wkb,
         exponent_ratio=ratio,

@@ -2,8 +2,8 @@
 
 Everything here works in Hartree atomic units of whichever reduced mass the
 caller's unit scale was built from: lengths in Bohr radii, energies in
-Hartree.  ``radial_eigensolve`` discretizes the radial equation for
-u(r) = r R(r),
+Hartree.  No SI value enters or leaves this module.  ``radial_eigensolve``
+discretizes the radial equation for u(r) = r R(r),
 
     -(1/2) u'' + [ l(l+1)/(2 r^2) - 1/r ] u = E u,
 
@@ -14,13 +14,14 @@ h and h/2.
 
 The n-manifold's first-order splitting is the spectrum of -A g z within the
 manifold, and the closed form emerges from diagonalizing it instead of being
-assumed.  Its radial states come from a Laguerre basis t^(l+1) e^(-t/2) p_k(t),
-t = 2r/nu, whose scale nu = 1.237 n deliberately differs from the states' own
-decay length n (Rotenberg 1962; Baye 2015), by Cholesky reduction and a
-symmetric eigensolve; the radial dipoles <n l|r|n l+1> follow by Gauss
-quadrature, and z splits into one tridiagonal block of size n - |m| per m.
-That numpy-only route covers every n up to ``MAX_PRINCIPAL``, and its
-dimensionless spectrum is memoized per n.
+assumed.  ``_manifold_spectrum(n)`` returns the spectrum of z in Bohr radii;
+``parabolic.degenerate_pt`` scales it to joules.  Its radial states come from
+a Laguerre basis t^(l+1) e^(-t/2) p_k(t), t = 2r/nu, whose scale nu = 1.237 n
+deliberately differs from the states' own decay length n (Rotenberg 1962;
+Baye 2015), by Cholesky reduction and a symmetric eigensolve; the radial
+dipoles <n l|r|n l+1> follow by Gauss quadrature, and z splits into one
+tridiagonal block of size n - |m| per m.  That numpy-only route covers every
+n up to 50, and its spectrum is memoized per n.
 
 ``stabilization_scan`` diagnoses bound versus continuum character by
 diagonalizing a half-axis model with a hard wall at increasing box sizes:
@@ -46,22 +47,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import PhysicalConstants
-from .errors import (
-    EigensolverError,
-    EmptyWindowError,
-    GridResolutionError,
-    _carried,
-    representable,
-)
-from .masses import CompositeMasses
-from .parabolic import MAX_PRINCIPAL
-from .separation import FieldSpec
+from .errors import EigensolverError, EmptyWindowError, GridResolutionError
 
 __all__ = [
     "ScanPoint",
     "radial_eigensolve",
-    "degenerate_pt",
     "stabilization_scan",
 ]
 
@@ -267,40 +257,6 @@ def _manifold_spectrum(n: int) -> tuple[tuple[float, int], ...]:
             groups.append((math.fsum(ordered[start:i]) / (i - start), i - start))
             start = i
     return tuple(groups)
-
-
-def degenerate_pt(
-    n: int,
-    composites: CompositeMasses,
-    field: FieldSpec,
-    constants: PhysicalConstants,
-) -> list[tuple[float, int]]:
-    """Distinct first-order shifts (J) with multiplicities from diagonalizing
-    -A g z within the n-manifold.
-
-    The eigenvalues lambda of z (Bohr radii) come from ``_manifold_spectrum``,
-    memoized per n, so a repeat n runs no basis build, quadrature or
-    eigensolve, whatever the masses and the field.  Each call scales them to
-    joules as -(A g a_mu) lambda, with a_mu = hbar / (mu alpha c) carried as
-    mantissa and exponent, and each shift must be a normal float (else
-    ``UnrepresentableError``).  Returned shifts ascend; at n = 1 (zero by
-    parity) and at zero coupling the result is ``[(0.0, n^2)]``.
-    """
-    if not 1 <= n <= MAX_PRINCIPAL:
-        raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
-    if not composites.reduced_mass > 0.0:
-        raise ValueError("reduced mass must be strictly positive")
-    mantissa, exponent = _carried(
-        (-1.0, composites.mass_asymmetry, field.magnitude, constants.hbar),
-        (composites.reduced_mass, constants.alpha, constants.c),
-    )
-    if n == 1 or mantissa == 0.0:
-        return [(0.0, n * n)]
-    shifts = [
-        (representable(f"oracle shift at n = {n}", mantissa * value, value, exponent=exponent), count)
-        for value, count in _manifold_spectrum(n)
-    ]
-    return shifts if mantissa > 0.0 else shifts[::-1]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ combination k = n1 - n2:
 
 i.e. 2n - 1 equally spaced sublevels with spacing proportional to n |A| g,
 the sublevel at k carrying n - |k| states.
+
+``degenerate_pt`` gives the same shifts from the spectrum of z within the
+n-manifold, which ``oracle`` diagonalizes in atomic units; the joule scale
+of both routes lives here.  It loads the oracle, and numpy with it, only
+when neither parity (n = 1) nor a zero coupling already fixes the shifts.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "SplittingTable",
     "evaluate_levels",
     "splitting_table",
+    "degenerate_pt",
 ]
 
 MAX_PRINCIPAL = 50
@@ -42,14 +48,6 @@ class ParabolicLevel:
     k: int
     energy_unperturbed: float
     shift: float
-
-    def __post_init__(self) -> None:
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("parabolic quantum numbers must be non-negative")
-        if self.n != self.n1 + self.n2 + abs(self.m) + 1:
-            raise ValueError("n must equal n1 + n2 + |m| + 1")
-        if self.k != self.n1 - self.n2:
-            raise ValueError("k must equal n1 - n2")
 
 
 @dataclass(frozen=True)
@@ -136,3 +134,41 @@ def splitting_table(
     ]
     spacing = 0.0 if n == 1 else abs(shifts[n - 2][1])   # the k = 1 entry
     return SplittingTable(n=n, sublevels=tuple(subs), spacing=spacing, unperturbed=e0)
+
+
+def degenerate_pt(
+    n: int,
+    composites: CompositeMasses,
+    field: FieldSpec,
+    constants: PhysicalConstants,
+) -> list[tuple[float, int]]:
+    """Distinct first-order shifts (J) with multiplicities from diagonalizing
+    -A g z within the n-manifold.
+
+    The eigenvalues lambda of z (Bohr radii) come from
+    ``oracle._manifold_spectrum``, memoized per n, so a repeat n runs no basis
+    build, quadrature or eigensolve, whatever the masses and the field.  Each
+    call scales them to joules as -(A g a_mu) lambda, with a_mu = hbar /
+    (mu alpha c) carried as mantissa and exponent, and each shift must be a
+    normal float (else ``UnrepresentableError``).  Returned shifts ascend; at
+    n = 1 (zero by parity) and at zero coupling the result is ``[(0.0, n^2)]``
+    and no oracle or numpy is loaded.
+    """
+    if not 1 <= n <= MAX_PRINCIPAL:
+        raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
+    if not composites.reduced_mass > 0.0:
+        raise ValueError("reduced mass must be strictly positive")
+    mantissa, exponent = _carried(
+        (-1.0, composites.mass_asymmetry, field.magnitude, constants.hbar),
+        (composites.reduced_mass, constants.alpha, constants.c),
+    )
+    if n == 1 or mantissa == 0.0:
+        return [(0.0, n * n)]
+    # Imported here: the oracle loads numpy, which the exit above never needs.
+    from .oracle import _manifold_spectrum
+
+    shifts = [
+        (representable(f"oracle shift at n = {n}", mantissa * value, value, exponent=exponent), count)
+        for value, count in _manifold_spectrum(n)
+    ]
+    return shifts if mantissa > 0.0 else shifts[::-1]

@@ -11,12 +11,11 @@ import pytest
 
 from gravstark.cli import run
 from gravstark.constants import atomic_scale, codata_defaults
-from gravstark.errors import StableAtomSignal
 from gravstark.frames import frame_equivalence_check
-from gravstark.ionization import closed_form_lifetime, compare_lifetimes, wkb_rate
+from gravstark.ionization import compare_lifetimes
 from gravstark.masses import CompositeMasses, MassModel, derive_composites, model_with_asymmetry
-from gravstark.oracle import degenerate_pt, radial_eigensolve, stabilization_scan
-from gravstark.parabolic import evaluate_levels, splitting_table
+from gravstark.oracle import radial_eigensolve, stabilization_scan
+from gravstark.parabolic import degenerate_pt, evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec, separate_gravitational
 from gravstark.wavepacket import (
     PropagationSpec,
@@ -116,8 +115,6 @@ def test_criterion_04_equivalence_implies_stability(tmp_path):
     assert table.spacing == 0.0
     assert all(sub.shift == 0.0 for sub in table.sublevels)
     assert degenerate_pt(2, comp, field, consts) == [(0.0, 4)]
-    with pytest.raises(StableAtomSignal):
-        closed_form_lifetime(comp, field, consts)
     assert compare_lifetimes(comp, field, consts).stable is True
 
     target = tmp_path / "stable.json"
@@ -129,7 +126,7 @@ def test_criterion_04_equivalence_implies_stability(tmp_path):
 def test_criterion_05_closed_form_exponent():
     consts = codata_defaults()
     comp = derive_composites(model_with_asymmetry(consts.m_e_ref, consts))
-    estimate = closed_form_lifetime(comp, FieldSpec(magnitude=9.8), consts)
+    estimate = compare_lifetimes(comp, FieldSpec(magnitude=9.8), consts)
 
     m_e, c = 9.1093837015e-31, 299792458.0
     alpha, hbar = 7.2973525693e-3, 1.0545718176461565e-34
@@ -149,7 +146,8 @@ def test_criterion_06_wkb_scaling():
     def field(force_atomic: float) -> FieldSpec:
         return FieldSpec(magnitude=force_atomic * scale.force_atomic / abs(comp.mass_asymmetry))
 
-    products = [wkb_rate(comp, field(f), consts)[1] * f for f in (1e-6, 1e-5, 1e-4)]
+    products = [compare_lifetimes(comp, field(f), consts).wkb_exponent * f
+                for f in (1e-6, 1e-5, 1e-4)]
     spread = (max(products) - min(products)) / min(products)
     assert spread < 0.10
 

@@ -249,10 +249,10 @@ def test_zero_field_split_prints_no_negative_zero(ratio, extra, tmp_path):
 
 
 def test_oracle_grouping_mismatch_exits_3(monkeypatch, capsys):
-    # Two oracle groups against three analytic sublevels at a nonzero field.
-    # The handler imports the oracle when it runs, so patch it at its source.
+    # Two oracle groups against three analytic sublevels at a nonzero field,
+    # patched where the `split` handler looks the oracle up.
     monkeypatch.setattr(
-        "gravstark.oracle.degenerate_pt", lambda n, *args: [(-1.0e-30, 2), (1.0e-30, 2)]
+        "gravstark.cli.degenerate_pt", lambda n, *args: [(-1.0e-30, 2), (1.0e-30, 2)]
     )
     code = run(["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"])
     assert code == 3
@@ -425,8 +425,8 @@ def test_unallocatable_grid_exits_2(argv, capsys):
     ],
 )
 def test_stable_atom_is_reported_not_raised(argv, capsys):
-    # With no internal coupling the lifetime code raises StableAtomSignal;
-    # every command reports that case on stdout instead of letting it escape.
+    # With no internal coupling there is nothing to estimate or split; every
+    # command reports that case on stdout, with no error.
     assert run([*argv, "--format", "json"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -533,6 +533,8 @@ _COMMANDS = st.one_of(
     st.integers(1, 6).map(
         lambda n: (["split", "--n", str(n), "--no-oracle", "--per-state"], "--g")
     ),
+    # The oracle's cold basis grows with n; n = 20 and 50 come as examples.
+    st.integers(1, 8).map(lambda n: (["split", "--n", str(n)], "--g")),
 )
 
 
@@ -551,6 +553,27 @@ def _printed_floats(out, output_format):
 
 
 @settings(max_examples=250)
+# The oracle column at larger n, on CODATA-like and on huge masses.
+@example(
+    command=(["split", "--n", "20"], "--g"),
+    m_e=("--m-e-ratio=1.0", _CONSTS.m_e_ref),
+    m_p=("--m-p-ratio=1.0", _CONSTS.m_p_ref),
+    mbar_e=("--mbar-e-ratio=1.1", 1.1 * _CONSTS.m_e_ref),
+    mbar_p=("--mbar-p-ratio=1.0", _CONSTS.m_p_ref),
+    equivalence=False,
+    g=9.8,
+    output_format="csv",
+)
+@example(
+    command=(["split", "--n", "50"], "--g"),
+    m_e=("--m-e=1e+300", 1e300),
+    m_p=("--m-p-ratio=1.0", _CONSTS.m_p_ref),
+    mbar_e=("--mbar-e-ratio=1.0", _CONSTS.m_e_ref),
+    mbar_p=("--mbar-p=1e+300", 1e300),
+    equivalence=False,
+    g=1e-3,
+    output_format="json",
+)
 # Each product mbar m overflows a float, but A = mbar_p m_e / M is 1e300 kg.
 @example(
     command=(["lifetime"], "--g"),
@@ -609,6 +632,13 @@ def test_scalar_commands_print_normal_floats_or_exit_2_or_3(
         assert math.isfinite(value), (argv, masses, value)
         assert math.copysign(1.0, value) == 1.0 or value != 0.0, (argv, "-0.0")
         assert value == 0.0 or abs(value) >= sys.float_info.min, (argv, masses, value)
+    if argv[0] == "split" and "--no-oracle" not in argv:
+        for row in rows:
+            shift, oracle = float(row["shift_J"]), float(row["shift_oracle_J"])
+            if shift == 0.0:
+                assert oracle == 0.0, (argv, masses, g, row)
+            else:
+                assert abs(oracle - shift) <= 1e-11 * abs(shift), (argv, masses, g, row)
     if argv[0] == "lifetime":
         # A M = mbar_p m_e - mbar_e m_p in exact arithmetic.  The package rounds
         # both products, so A within a few ulps of them may come out either way.

@@ -33,7 +33,9 @@ SCIPY_FREE_COMMANDS = {
     "split-n4": ["split", "--n", "4", "--mbar-e-ratio", "1.1", "--g", "9.8"],
 }
 
-# Subcommands that do scalar arithmetic only and must load neither numpy nor scipy.
+# Subcommands that do scalar arithmetic only and must load neither numpy nor scipy;
+# the `split` oracle column needs no diagonalization where parity (n = 1) or a
+# zero coupling fixes every shift.
 NUMPY_FREE_COMMANDS = {
     "constants": ["constants"],
     "separate": ["separate", "--mbar-e-ratio", "1.1"],
@@ -42,6 +44,8 @@ NUMPY_FREE_COMMANDS = {
     "lifetime": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "9.8"],
     "split-no-oracle": ["split", "--n", "3", "--mbar-e-ratio", "1.1", "--no-oracle"],
     "split-per-state": ["split", "--n", "3", "--mbar-e-ratio", "1.1", "--per-state"],
+    "split-n1": ["split", "--n", "1", "--mbar-e-ratio", "1.1"],
+    "split-zero-coupling": ["split", "--n", "3", "--g", "0"],
 }
 
 PROBE = """
@@ -98,8 +102,7 @@ PUBLIC_NAMES = {
     "CompositeMasses", "MassModel", "derive_composites", "model_with_asymmetry",
     "FieldSpec", "separate_gravitational", "verify_separability",
     # closed forms
-    "ParabolicLevel", "evaluate_levels", "splitting_table",
-    "closed_form_lifetime", "compare_lifetimes", "wkb_rate",
+    "ParabolicLevel", "evaluate_levels", "splitting_table", "compare_lifetimes",
     # numerical routes
     "degenerate_pt", "radial_eigensolve", "stabilization_scan",
     "frame_discrepancy", "frame_equivalence_check", "PropagationSpec", "Wavefunction1D",
@@ -107,13 +110,13 @@ PUBLIC_NAMES = {
     # errors
     "BoundaryEscapeError", "DomainEscapeError", "EigensolverError", "EmptyWindowError",
     "GravstarkError", "GridResolutionError", "NoBarrierError", "PropagationError",
-    "ResourceLimitError", "StabilityBoundError", "StableAtomSignal",
+    "ResourceLimitError", "StabilityBoundError",
     "UndefinedRatioError", "UnrepresentableError",
 }
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 36
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the

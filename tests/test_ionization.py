@@ -6,14 +6,8 @@ from scipy.integrate import quad
 
 from gravstark import ionization
 from gravstark.constants import atomic_scale
-from gravstark.errors import NoBarrierError, StableAtomSignal
-from gravstark.ionization import (
-    _barrier_exponent,
-    _barrier_turning_points,
-    closed_form_lifetime,
-    compare_lifetimes,
-    wkb_rate,
-)
+from gravstark.errors import NoBarrierError
+from gravstark.ionization import _barrier_exponent, _barrier_turning_points, compare_lifetimes
 from gravstark.masses import derive_composites, model_with_asymmetry
 from gravstark.separation import FieldSpec
 
@@ -34,10 +28,21 @@ def field_for_atomic_force(comp, consts, force_atomic: float) -> FieldSpec:
     return FieldSpec(magnitude=force_atomic * scale.force_atomic / abs(comp.mass_asymmetry))
 
 
+def report_at(comp, consts, force_atomic: float):
+    return compare_lifetimes(comp, field_for_atomic_force(comp, consts, force_atomic), consts)
+
+
+def tau_prefactor(comp, field, consts) -> float:
+    """|A| g hbar^2 / (4 m_e^3 c^5 alpha^5) in seconds, written out here."""
+    m_e, c, alpha = consts.m_e_ref, consts.c, consts.alpha
+    force = abs(comp.mass_asymmetry) * field.magnitude
+    return force * consts.hbar**2 / (4.0 * m_e**3 * c**5 * alpha**5)
+
+
 # --- closed form ---------------------------------------------------------------
 
 def test_terrestrial_exponent(consts, electron_asymmetry):
-    est = closed_form_lifetime(electron_asymmetry, FieldSpec(magnitude=9.8), consts)
+    est = compare_lifetimes(electron_asymmetry, FieldSpec(magnitude=9.8), consts)
     # from-scratch evaluation with independently typed CODATA values
     m_e, c, alpha, hbar = 9.1093837015e-31, 299792458.0, 7.2973525693e-3, 1.0545718176461565e-34
     expected = m_e**2 * c**3 * alpha**3 / (m_e * 9.8 * hbar)
@@ -48,53 +53,48 @@ def test_terrestrial_exponent(consts, electron_asymmetry):
 def test_lifetime_identity(consts, electron_asymmetry):
     # force small enough that tau = prefactor * exp(exponent) is representable
     field = field_for_atomic_force(electron_asymmetry, consts, 2.0e-3)
-    est = closed_form_lifetime(electron_asymmetry, field, consts)
+    est = compare_lifetimes(electron_asymmetry, field, consts)
     assert est.closed_form_exponent < 700.0
     assert 10.0**est.log10_tau_closed_form == pytest.approx(
-        est.tau_prefactor * math.exp(est.closed_form_exponent), rel=1e-12
+        tau_prefactor(electron_asymmetry, field, consts) * math.exp(est.closed_form_exponent),
+        rel=1e-12,
     )
 
 
 def test_overflow_reported_in_log_space(consts, electron_asymmetry):
-    est = closed_form_lifetime(electron_asymmetry, FieldSpec(magnitude=9.8), consts)
+    field = FieldSpec(magnitude=9.8)
+    est = compare_lifetimes(electron_asymmetry, field, consts)
     assert est.closed_form_exponent > 710.0  # exp(exponent) overflows a float
     assert math.isfinite(est.log10_tau_closed_form)
+    prefactor = tau_prefactor(electron_asymmetry, field, consts)
     assert est.log10_tau_closed_form == pytest.approx(
-        math.log10(est.tau_prefactor) + est.closed_form_exponent / math.log(10.0), rel=1e-12
+        math.log10(prefactor) + est.closed_form_exponent / math.log(10.0), rel=1e-12
     )
 
 
 def test_huge_exponent_no_overflow(consts, electron_asymmetry):
     # exponent near 1e30 (up to the electron/reduced mass unit factor):
     # only log-space quantities grow
-    field = field_for_atomic_force(electron_asymmetry, consts, 1e-30)
-    est = closed_form_lifetime(electron_asymmetry, field, consts)
+    est = report_at(electron_asymmetry, consts, 1e-30)
     assert est.closed_form_exponent == pytest.approx(1e30, rel=2e-3)
     assert math.isfinite(est.log10_tau_closed_form)
 
 
 def test_doubling_force_halves_exponent(consts, electron_asymmetry):
-    one = closed_form_lifetime(electron_asymmetry, FieldSpec(magnitude=9.8), consts)
-    two = closed_form_lifetime(electron_asymmetry, FieldSpec(magnitude=19.6), consts)
+    one = compare_lifetimes(electron_asymmetry, FieldSpec(magnitude=9.8), consts)
+    two = compare_lifetimes(electron_asymmetry, FieldSpec(magnitude=19.6), consts)
     assert two.closed_form_exponent == pytest.approx(one.closed_form_exponent / 2.0, rel=1e-12)
 
 
-def test_zero_asymmetry_signals_stability(consts, equal_masses):
-    comp = derive_composites(equal_masses)
-    with pytest.raises(StableAtomSignal):
-        closed_form_lifetime(comp, FieldSpec(magnitude=9.8), consts)
-
-
 def test_zero_field_signals_stability(consts, electron_asymmetry):
-    with pytest.raises(StableAtomSignal):
-        closed_form_lifetime(electron_asymmetry, FieldSpec(magnitude=0.0), consts)
+    report = compare_lifetimes(electron_asymmetry, FieldSpec(magnitude=0.0), consts)
+    assert report.stable is True
+    assert report.closed_form_exponent is None
 
 
 def test_lifetime_monotone_decreasing_in_force(consts, electron_asymmetry):
     log_taus = [
-        closed_form_lifetime(
-            electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, f), consts
-        ).log10_tau_closed_form
+        report_at(electron_asymmetry, consts, f).log10_tau_closed_form
         for f in (1e-6, 1e-5, 1e-4, 1e-3)
     ]
     assert all(a > b for a, b in zip(log_taus, log_taus[1:]))
@@ -114,9 +114,7 @@ def test_turning_points_match_quadratic_roots(consts, electron_asymmetry):
 def test_exponent_against_raw_quadrature(consts, electron_asymmetry):
     # second, independent quadrature route: integrate the raw integrand
     force = 1e-4
-    _, exponent = wkb_rate(
-        electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, force), consts
-    )
+    exponent = report_at(electron_asymmetry, consts, force).wkb_exponent
     disc = math.sqrt(1.0 - 16.0 * force)
     x1 = (1.0 - disc) / (4.0 * force)
     x2 = (1.0 + disc) / (4.0 * force)
@@ -203,33 +201,21 @@ def test_agm_stops_where_a_tight_test_would_spin(monkeypatch):
 def test_exponent_scale_matches_inverse_force(consts, electron_asymmetry):
     # within a factor two of 1/F, approaching 2/(3F) asymptotically
     force = 1e-4
-    _, exponent = wkb_rate(
-        electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, force), consts
-    )
+    exponent = report_at(electron_asymmetry, consts, force).wkb_exponent
     assert 0.5 / force < exponent < 2.0 / force
     assert exponent == pytest.approx(2.0 / (3.0 * force), rel=0.01)
 
 
 def test_doubling_force_roughly_halves_exponent(consts, electron_asymmetry):
     for force in (1e-5, 1e-4):
-        _, e1 = wkb_rate(
-            electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, force), consts
-        )
-        _, e2 = wkb_rate(
-            electron_asymmetry,
-            field_for_atomic_force(electron_asymmetry, consts, 2.0 * force),
-            consts,
-        )
+        e1 = report_at(electron_asymmetry, consts, force).wkb_exponent
+        e2 = report_at(electron_asymmetry, consts, 2.0 * force).wkb_exponent
         assert abs(2.0 * e2 / e1 - 1.0) < 0.1
 
 
 def test_exponent_inverse_force_spread(consts, electron_asymmetry):
     products = [
-        wkb_rate(
-            electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, f), consts
-        )[1]
-        * f
-        for f in (1e-6, 1e-5, 1e-4)
+        report_at(electron_asymmetry, consts, f).wkb_exponent * f for f in (1e-6, 1e-5, 1e-4)
     ]
     assert (max(products) - min(products)) / min(products) < 0.10
 
@@ -237,9 +223,7 @@ def test_exponent_inverse_force_spread(consts, electron_asymmetry):
 def test_merged_turning_points_rejected(consts, electron_asymmetry):
     # barrier disappears once F reaches 1/16 at the ground energy
     with pytest.raises(NoBarrierError):
-        wkb_rate(
-            electron_asymmetry, field_for_atomic_force(electron_asymmetry, consts, 0.07), consts
-        )
+        report_at(electron_asymmetry, consts, 0.07)
 
 
 # --- comparison -------------------------------------------------------------------
@@ -256,7 +240,7 @@ def test_terrestrial_comparison(consts, electron_asymmetry):
 def test_stable_comparison(consts, equal_masses):
     comp = derive_composites(equal_masses)
     report = compare_lifetimes(comp, FieldSpec(magnitude=9.8), consts)
-    assert report.stable
+    assert report.stable is True
     assert report.closed_form_exponent is None
     assert report.wkb_exponent is None
 
@@ -268,11 +252,10 @@ def test_weak_force_lifetimes_exceed_bound(consts, electron_asymmetry):
     assert report.log10_tau_wkb > 1e5
 
 
-def test_wkb_rate_underflows_to_zero(consts, electron_asymmetry):
-    # The lifetime.json configuration: only the exponent survives exp's range.
-    # The exponent is the one 50-digit arithmetic gives, 6.1458319054664171e21,
-    # rounded.
-    assert wkb_rate(electron_asymmetry, FieldSpec(magnitude=9.8), consts) == (
-        0.0,
-        6.145831905466417e21,
-    )
+def test_terrestrial_wkb_exponent_pin(consts, electron_asymmetry):
+    # The lifetime.json configuration, whose rate exp(-exponent) underflows:
+    # only log10 of the lifetime is reported.  The exponent is the one
+    # 50-digit arithmetic gives, 6.1458319054664171e21, rounded.
+    report = compare_lifetimes(electron_asymmetry, FieldSpec(magnitude=9.8), consts)
+    assert report.wkb_exponent == 6.145831905466417e21
+    assert math.isfinite(report.log10_tau_wkb)

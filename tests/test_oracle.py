@@ -13,11 +13,10 @@ from gravstark.oracle import (
     _manifold_spectrum,
     _radial_dipoles,
     _solve_radial,
-    degenerate_pt,
     radial_eigensolve,
     stabilization_scan,
 )
-from gravstark.parabolic import evaluate_levels, splitting_table
+from gravstark.parabolic import degenerate_pt, evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec
 
 

@@ -9,7 +9,7 @@ from gravstark import parabolic
 from gravstark.constants import codata_defaults
 from gravstark.errors import UnrepresentableError, representable
 from gravstark.masses import CompositeMasses, MassModel, derive_composites
-from gravstark.parabolic import ParabolicLevel, evaluate_levels, splitting_table
+from gravstark.parabolic import evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec
 
 
@@ -70,15 +70,6 @@ def test_out_of_range_rejected():
     for bad in (0, -1, 51):
         with pytest.raises(ValueError):
             _levels(bad)
-
-
-def test_quantum_number_constraint_enforced():
-    with pytest.raises(ValueError):
-        ParabolicLevel(n=2, n1=1, n2=1, m=0, k=0, energy_unperturbed=-1.0, shift=0.0)
-    with pytest.raises(ValueError):
-        ParabolicLevel(n=2, n1=1, n2=0, m=0, k=-1, energy_unperturbed=-1.0, shift=0.0)
-    with pytest.raises(ValueError):
-        ParabolicLevel(n=2, n1=-1, n2=2, m=0, k=-3, energy_unperturbed=-1.0, shift=0.0)
 
 
 def test_shift_zero_cases(consts, terrestrial_field):
@@ -189,8 +180,13 @@ def test_table_structure_property(n, asymmetry, g, consts):
         return
     table = splitting_table(n, comp, field, consts)
     _assert_table_structure(table, n)
-    # Each state carries its sublevel's shift bit for bit, in (-k, n1, m) order.
+    # Each state carries its sublevel's shift bit for bit, in (-k, n1, m) order,
+    # and valid parabolic quantum numbers.
     levels = evaluate_levels(n, comp, field, consts)
+    for lv in levels:
+        assert lv.n1 >= 0 and lv.n2 >= 0
+        assert lv.n == lv.n1 + lv.n2 + abs(lv.m) + 1
+        assert lv.k == lv.n1 - lv.n2
     assert levels == sorted(levels, key=lambda lv: (-lv.k, lv.n1, lv.m))
     by_k = {sub.k: sub.shift.hex() for sub in table.sublevels}
     assert [lv.shift.hex() for lv in levels] == [by_k[lv.k] for lv in levels]
