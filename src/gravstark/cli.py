@@ -9,13 +9,13 @@ kilograms or as dimensionless ratios against the CODATA reference masses;
 
 The numerical routes (``oracle``, ``frames``) are imported inside the
 handlers, or by ``degenerate_pt``, only when a call needs them, so the
-scalar subcommands load no numpy.
+scalar subcommands load no numpy; ``json`` loads only for JSON output or a
+``--config`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import IO
 
@@ -385,6 +385,8 @@ def _merge_config_file(argv: list[str]) -> list[str]:
     index = argv.index("--config")
     if index + 1 >= len(argv) or not argv or argv[0].startswith("-"):
         return argv  # let argparse report the problem
+    import json  # only a --config call reads JSON
+
     with open(argv[index + 1], "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
@@ -410,7 +412,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(_merge_config_file(list(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # A malformed config file raises json.JSONDecodeError, a ValueError.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

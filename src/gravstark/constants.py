@@ -8,7 +8,7 @@ the active mass configuration; SI values appear only at module boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import representable
 
@@ -20,10 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """A mutually consistent set of SI constants."""
-
+class _PhysicalConstantsFields(NamedTuple):
     hbar: float      # J s
     c: float         # m / s
     alpha: float     # dimensionless fine-structure constant
@@ -32,18 +29,29 @@ class PhysicalConstants:
     m_e_ref: float   # kg, reference electron mass
     m_p_ref: float   # kg, reference proton mass
 
-    def __post_init__(self) -> None:
-        for name in ("hbar", "c", "alpha", "e_charge", "eps0", "m_e_ref", "m_p_ref"):
-            value = getattr(self, name)
+
+class PhysicalConstants(_PhysicalConstantsFields):
+    """A mutually consistent set of SI constants."""
+
+    __slots__ = ()
+
+    def __new__(cls, hbar, c, alpha, e_charge, eps0, m_e_ref, m_p_ref):
+        self = super().__new__(cls, hbar, c, alpha, e_charge, eps0, m_e_ref, m_p_ref)
+        for name, value in zip(self._fields, self):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive and finite")
-        derived = self.e_charge**2 / (4.0 * math.pi * self.eps0 * self.hbar * self.c)
-        if abs(derived - self.alpha) > 1e-9 * self.alpha:
+        derived = e_charge**2 / (4.0 * math.pi * eps0 * hbar * c)
+        if abs(derived - alpha) > 1e-9 * alpha:
             raise ValueError("alpha disagrees with e^2/(4 pi eps0 hbar c)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; both validate like the constructor.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AtomicUnitScale:
+class AtomicUnitScale(NamedTuple):
     """Hartree-style unit scales built from one reduced mass.
 
     energy_hartree = mu c^2 alpha^2 and length_bohr = hbar/(mu c alpha); the

@@ -19,7 +19,7 @@ inertial one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def _transform_wavefunction(state: Wavefunction1D, a: float, t: float) -> Wavefu
     )
 
 
-@dataclass(frozen=True)
-class FrameCheckResult:
+class FrameCheckResult(NamedTuple):
     fidelity: float
     max_pointwise_error: float
     grid: int

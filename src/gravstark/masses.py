@@ -14,7 +14,7 @@ inertial one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import PhysicalConstants, codata_defaults
 from .errors import _carried, representable
@@ -27,8 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MassModel:
+class _MassModelFields(NamedTuple):
+    m_e: float
+    m_p: float
+    mbar_e: float
+    mbar_p: float
+
+
+class MassModel(_MassModelFields):
     """Inertial and gravitational masses of the two constituents (kg).
 
     Inertial masses must be positive; gravitational masses may be any real
@@ -36,22 +42,24 @@ class MassModel:
     unconstrained.
     """
 
-    m_e: float
-    m_p: float
-    mbar_e: float
-    mbar_p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.m_e > 0.0 and math.isfinite(self.m_e)):
+    def __new__(cls, m_e, m_p, mbar_e, mbar_p):
+        if not (m_e > 0.0 and math.isfinite(m_e)):
             raise ValueError("inertial electron mass must be strictly positive")
-        if not (self.m_p > 0.0 and math.isfinite(self.m_p)):
+        if not (m_p > 0.0 and math.isfinite(m_p)):
             raise ValueError("inertial proton mass must be strictly positive")
-        if not (math.isfinite(self.mbar_e) and math.isfinite(self.mbar_p)):
+        if not (math.isfinite(mbar_e) and math.isfinite(mbar_p)):
             raise ValueError("gravitational masses must be finite")
+        return super().__new__(cls, m_e, m_p, mbar_e, mbar_p)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; both validate like the constructor.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CompositeMasses:
+class CompositeMasses(NamedTuple):
     """Derived mass combinations, each computed once and stored (kg)."""
 
     total_mass: float       # M = m_e + m_p

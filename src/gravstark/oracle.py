@@ -42,8 +42,8 @@ whole-window solve's floats inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,8 +259,7 @@ def _manifold_spectrum(n: int) -> tuple[tuple[float, int], ...]:
     return tuple(groups)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     """One box size of a stabilization scan (atomic units)."""
 
     box_size: float

@@ -17,7 +17,7 @@ when neither parity (n = 1) nor a zero coupling already fixes the shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import PhysicalConstants
 from .errors import _carried, representable
@@ -36,8 +36,7 @@ __all__ = [
 MAX_PRINCIPAL = 50
 
 
-@dataclass(frozen=True)
-class ParabolicLevel:
+class ParabolicLevel(NamedTuple):
     """One state (n, n1, n2, m) with k = n1 - n2, its field-free energy and
     first-order shift in joules."""
 
@@ -50,8 +49,7 @@ class ParabolicLevel:
     shift: float
 
 
-@dataclass(frozen=True)
-class Sublevel:
+class Sublevel(NamedTuple):
     """One sublevel of a split manifold.
 
     ``shift`` is kept separately from ``energy = E0 + shift`` because for
@@ -65,8 +63,7 @@ class Sublevel:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SplittingTable:
+class SplittingTable(NamedTuple):
     """Sublevels of one n-manifold, ordered by descending k."""
 
     n: int

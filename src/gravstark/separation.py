@@ -17,8 +17,7 @@ centre of mass alone, with gravitational masses equal to the inertial ones;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .constants import PhysicalConstants, atomic_scale, codata_defaults
 from .errors import ResourceLimitError, UndefinedRatioError, representable
@@ -37,19 +36,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Uniform field of magnitude g (m/s^2) along the z axis."""
-
+class _FieldSpecFields(NamedTuple):
     magnitude: float
 
-    def __post_init__(self) -> None:
-        if not (self.magnitude >= 0.0 and math.isfinite(self.magnitude)):
+
+class FieldSpec(_FieldSpecFields):
+    """Uniform field of magnitude g (m/s^2) along the z axis."""
+
+    __slots__ = ()
+
+    def __new__(cls, magnitude):
+        if not (magnitude >= 0.0 and math.isfinite(magnitude)):
             raise ValueError("field magnitude must be non-negative and finite")
+        return super().__new__(cls, magnitude)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; both validate like the constructor.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SeparatedHamiltonian:
+class SeparatedHamiltonian(NamedTuple):
     """Coefficients of the separated CM and internal equations."""
 
     cm_kinetic_mass: float      # kg, = M
@@ -78,8 +85,7 @@ def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamil
     )
 
 
-@dataclass(frozen=True)
-class FrameDiscrepancy:
+class FrameDiscrepancy(NamedTuple):
     """How a real field and an equal-magnitude acceleration differ."""
 
     cm_mass_ratio: float                 # M / Mbar

@@ -9,7 +9,6 @@ rows produce byte-identical output.
 from __future__ import annotations
 
 import csv
-import json
 from typing import IO, Mapping, Sequence
 
 __all__ = ["emit_table", "emit_record"]
@@ -47,6 +46,8 @@ def emit_table(
         for row in rows:
             writer.writerow([_cell(row[name]) for name in fieldnames])
     elif output_format == "json":
+        import json  # here, so that CSV output never loads it
+
         payload = [{name: row[name] for name in fieldnames} for row in rows]
         json.dump(payload, sink, indent=2)
         sink.write("\n")
@@ -57,6 +58,8 @@ def emit_table(
 def emit_record(record: Mapping, output_format: str, sink: IO[str]) -> None:
     """Write a single record: one-row table as CSV, bare object as JSON."""
     if output_format == "json":
+        import json
+
         json.dump(dict(record), sink, indent=2)
         sink.write("\n")
     else:

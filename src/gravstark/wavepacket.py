@@ -17,7 +17,6 @@ every ``CHECK_INTERVAL`` steps and at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +43,20 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(eq=False)
 class Wavefunction1D:
-    """Complex amplitudes on a uniform periodic grid x_min + j dx, j = 0..N-1."""
+    """Complex amplitudes on a uniform periodic grid x_min + j dx, j = 0..N-1;
+    compares by identity."""
 
-    samples: np.ndarray
-    x_min: float
-    x_max: float
-    point_count: int
+    __slots__ = ("samples", "x_min", "x_max", "point_count")
 
-    def __post_init__(self) -> None:
-        if not _is_power_of_two(self.point_count) or self.point_count < 256:
+    def __init__(self, samples: np.ndarray, x_min: float, x_max: float, point_count: int) -> None:
+        if not _is_power_of_two(point_count) or point_count < 256:
             raise ValueError("point_count must be a power of two, at least 256")
-        if not self.x_max > self.x_min:
+        if not x_max > x_min:
             raise ValueError("need x_max > x_min")
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.shape != (self.point_count,):
+        self.samples = np.asarray(samples, dtype=np.complex128)
+        self.x_min, self.x_max, self.point_count = x_min, x_max, point_count
+        if self.samples.shape != (point_count,):
             raise ValueError("sample count disagrees with point_count")
         if not np.all(np.isfinite(self.samples.view(float))):
             raise ValueError("samples must be finite")
@@ -96,27 +93,24 @@ def gaussian_packet(
     return state
 
 
-@dataclass(frozen=True, eq=False)
 class PropagationSpec:
-    """Potential, mass, and stepping of one propagation run.
+    """Potential, mass, and stepping of one propagation run; compares by identity.
 
     ``potential`` holds one value per grid point.  ``dt`` may be negative
     (backward propagation); the spectral stability bound |dt| E_kin_max < pi
     is enforced when propagation starts.
     """
 
-    potential: np.ndarray
-    mass: float
-    dt: float
-    steps: int
+    __slots__ = ("potential", "mass", "dt", "steps")
 
-    def __post_init__(self) -> None:
-        if self.dt == 0.0 or not math.isfinite(self.dt):
+    def __init__(self, potential: np.ndarray, mass: float, dt: float, steps: int) -> None:
+        if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
-        if self.steps < 1:
+        if steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.mass <= 0.0:
+        if mass <= 0.0:
             raise ValueError("mass must be positive")
+        self.potential, self.mass, self.dt, self.steps = potential, mass, dt, steps
 
 
 def _check_health(psi: np.ndarray, step: int) -> None:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +27,7 @@ def test_internal_coupling_always_zero(consts):
         mbar_e=7.0 * consts.m_e_ref,
         mbar_p=consts.m_p_ref,
     )
-    accelerated = dataclasses.replace(model, mbar_e=model.m_e, mbar_p=model.m_p)
+    accelerated = MassModel(m_e=model.m_e, m_p=model.m_p, mbar_e=model.m_e, mbar_p=model.m_p)
     ham = separate_gravitational(accelerated, FieldSpec(magnitude=9.8))
     assert ham.internal_coupling == 0.0
     assert ham.cm_coupling == (model.m_e + model.m_p) * 9.8

@@ -1,5 +1,6 @@
 """The package imports numpy and scipy only inside the routes that need
-them, and exports exactly its agreed public names.
+them, never ``dataclasses`` or ``inspect``, and ``json`` only for JSON input
+or output; it exports exactly its agreed public names.
 
 Each import check runs in a fresh interpreter, because ``sys.modules`` of the
 test process already holds numpy and scipy from other test modules.
@@ -68,19 +69,24 @@ print(json.dumps(report))
 """
 
 
-def probe(commands: dict, families: list[str]) -> dict:
-    """Per stage, the modules of ``families`` loaded after running it in one fresh process."""
+def run_fresh(script: str, *args: str) -> str:
+    """Standard output of ``script`` run with ``args`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands), json.dumps(families)],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
         check=True,
         timeout=120,
     )
-    report = json.loads(done.stdout)
+    return done.stdout
+
+
+def probe(commands: dict, families: list[str]) -> dict:
+    """Per stage, the modules of ``families`` loaded after running it in one fresh process."""
+    report = json.loads(run_fresh(PROBE, json.dumps(commands), json.dumps(families)))
     assert list(report) == ["import gravstark", "import gravstark.cli", *commands]
     return report
 
@@ -91,8 +97,30 @@ def test_import_and_scipy_free_commands_load_no_scipy():
 
 
 def test_import_and_scalar_commands_load_no_numpy():
-    report = probe(NUMPY_FREE_COMMANDS, ["numpy", "scipy"])
+    report = probe(NUMPY_FREE_COMMANDS, ["numpy", "scipy", "dataclasses", "inspect"])
     assert report == {stage: [] for stage in report}
+
+
+# Runs every scalar command as CSV, then one as JSON, and prints after each
+# whether json is loaded; it imports no json itself.
+CSV_PROBE = """
+import os, sys
+
+import gravstark.cli
+
+for argv in sys.argv[1:]:
+    code = gravstark.cli.run([*argv.split(), "--format", "csv", "--output", os.devnull])
+    print("json" in sys.modules if code == 0 else f"exit {code}")
+gravstark.cli.run(["constants", "--format", "json", "--output", os.devnull])
+print("json" in sys.modules)
+"""
+
+
+def test_csv_output_loads_no_json():
+    commands = [" ".join(argv) for argv in NUMPY_FREE_COMMANDS.values()]
+    lines = run_fresh(CSV_PROBE, *commands).splitlines()
+    # The last line shows the probe sees json once a JSON call loads it.
+    assert lines == ["False"] * len(commands) + ["True"]
 
 
 # A name joins this list only when the CLI or a documented workflow calls it.

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gravstark import ionization
@@ -157,6 +157,31 @@ def test_closed_form_exponent_matches_40_digits(log10_force):
     # against a reference that solves the quadratic itself.
     force = 10.0**log10_force
     assert abs(_barrier_exponent(force) / _mpmath_exponent(force) - 1) <= 1e-15
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath is the 40-digit reference")
+@settings(max_examples=200)
+@given(force=st.floats(min_value=0.01, max_value=0.0625, exclude_max=True))
+@example(force=0.06)
+@example(force=0.06249)
+@example(force=0.0625 * (1 - 1e-9))
+@example(force=0.0625 * (1 - 1e-12))
+@example(force=math.nextafter(1 / 16, 0))
+def test_strong_force_exponent_matches_40_digits(force):
+    # Both forms of the barrier integral and the switch at m = 0.9 (F = 0.0207).
+    # As F -> 1/16 the turning points merge and (a+b) E(m) - 2a K(m) cancels
+    # completely: at the last float below 1/16 the exponent is 9.87e-16.
+    assert abs(_barrier_exponent(force) / _mpmath_exponent(force) - 1) <= 1e-15
+
+
+def test_exponent_next_to_merge_is_reported(consts, electron_asymmetry):
+    # The last force below 1/16 still has a barrier and a representable
+    # exponent, which compare_lifetimes reports rather than raising.
+    force = math.nextafter(1 / 16, 0)
+    report = report_at(electron_asymmetry, consts, force)
+    assert report.internal_force_atomic == force
+    assert report.wkb_exponent == pytest.approx(9.865e-16, rel=1e-3)
+    assert not report.within_order_unity
 
 
 @settings(max_examples=50)
