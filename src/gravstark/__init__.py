@@ -19,7 +19,6 @@ from .errors import (
     GridResolutionError,
     NoBarrierError,
     PropagationError,
-    ResourceLimitError,
     StabilityBoundError,
     UndefinedRatioError,
     UnrepresentableError,
@@ -47,7 +46,7 @@ from .separation import (
 _LAZY = {
     "frames": ("frame_equivalence_check",),
     "oracle": ("radial_eigensolve", "stabilization_scan"),
-    "wavepacket": ("PropagationSpec", "Wavefunction1D", "fidelity", "gaussian_packet", "propagate"),
+    "wavepacket": ("Wavefunction1D", "fidelity", "gaussian_packet", "propagate"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

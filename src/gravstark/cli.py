@@ -16,6 +16,7 @@ scalar subcommands load no numpy; ``json`` loads only for JSON output or a
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import IO
 
@@ -32,6 +33,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _MASS_FLAGS = ("m_e", "m_p", "mbar_e", "mbar_p")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3``, ``-inf`` and ``-nan`` as values, as it does ``-1`` and
+    ``-.5``: argparse's own pattern leaves them out and then takes them for
+    unknown flags.  No flag of this program looks like a number."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _add_mass_arguments(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +91,7 @@ def resolve_mass_model(args: argparse.Namespace) -> MassModel:
         raise ValueError("--equivalence conflicts with explicit gravitational masses")
 
     if args.script_m_ratio is not None:
-        return model_with_asymmetry(args.script_m_ratio * consts.m_e_ref, consts)
+        return model_with_asymmetry(args.script_m_ratio * consts.m_e_ref)
 
     values = {}
     for name in _MASS_FLAGS:
@@ -295,7 +306,7 @@ def _cmd_frame_diff(args: argparse.Namespace, sink: IO[str]) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gravstark",
         description=(
             "Level structure, stability, and accelerated-frame contrast of a "

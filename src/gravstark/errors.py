@@ -8,10 +8,6 @@ class GravstarkError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ResourceLimitError(GravstarkError):
-    """A requested computation exceeds the size limits of a dense check."""
-
-
 class GridResolutionError(GravstarkError):
     """Discretization too coarse, or box too small, for the requested accuracy."""
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DomainEscapeError, GridResolutionError, representable
 from .wavepacket import (
-    PropagationSpec,
     Wavefunction1D,
     _free_evolution,
     _wavenumbers,
@@ -59,8 +58,6 @@ def _transform_wavefunction(state: Wavefunction1D, a: float, t: float) -> Wavefu
     leave the grid, and ``UnrepresentableError`` when the frame velocity or
     action leaves the float range.
     """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
     z = 0.5 * a * t * t
     v = representable("frame velocity a t", a * t, a, t)
     action = representable("frame action a^2 t^3 / 3", a * a * t**3 / 3.0, a, t)
@@ -119,8 +116,10 @@ def frame_equivalence_check(
     predicted phase is removed; ``fidelity`` is phase-blind and compares the
     paths as they are.
 
-    A run whose kicked momentum band m |a| T / hbar + 10 / (2 SIGMA) reaches
-    pi / dx fails with ``GridResolutionError`` before either path is built.
+    A ``total_time`` that is not positive and finite fails with ``ValueError``
+    before anything is built.  A run whose kicked momentum band
+    m |a| T / hbar + 10 / (2 SIGMA) reaches pi / dx fails with
+    ``GridResolutionError`` before either path is built.
     A run too large for its grid fails with ``BoundaryEscapeError`` when either
     path reaches the grid edge at a checked step, or with ``DomainEscapeError``
     when the final frame shift of path A would carry its support off the grid.
@@ -129,20 +128,17 @@ def frame_equivalence_check(
         raise ValueError("steps must be at least 1")
     if not math.isfinite(acceleration):
         raise ValueError("acceleration must be finite")
+    if not 0.0 < total_time < math.inf:
+        raise ValueError("total_time must be positive and finite")
     initial = gaussian_packet(X_MIN, X_MAX, grid_points, sigma=SIGMA)
     band = MASS * abs(acceleration) * total_time + 10.0 / (2.0 * SIGMA)
     if band >= math.pi / initial.dx:
         raise GridResolutionError(f"kicked momentum band {band:.3g} reaches pi / dx")
-    spec = PropagationSpec(
-        potential=MASS * acceleration * initial.grid(),
-        mass=MASS,
-        dt=total_time / steps,
-        steps=steps,
-    )
-    inertial = _free_evolution(initial, MASS, spec.dt, steps)
-    path_b = propagate(initial, spec)
+    dt = total_time / steps
+    inertial = _free_evolution(initial, MASS, dt, steps)
+    path_b = propagate(initial, MASS * acceleration * initial.grid(), MASS, dt, steps)
     path_a = _transform_wavefunction(inertial, acceleration, total_time)
-    splitting_phase = -MASS * acceleration**2 * total_time * spec.dt**2 / 24.0
+    splitting_phase = -MASS * acceleration**2 * total_time * dt**2 / 24.0
     err = float(np.max(np.abs(path_a.samples - np.exp(1j * splitting_phase) * path_b.samples)))
     return FrameCheckResult(
         fidelity=fidelity(path_a, path_b),

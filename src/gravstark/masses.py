@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import PhysicalConstants, codata_defaults
+from .constants import codata_defaults
 from .errors import _carried, representable
 
 __all__ = [
@@ -89,13 +89,13 @@ def derive_composites(model: MassModel) -> CompositeMasses:
     )
 
 
-def model_with_asymmetry(mass_asymmetry: float, constants: PhysicalConstants | None = None) -> MassModel:
+def model_with_asymmetry(mass_asymmetry: float) -> MassModel:
     """Canonical violating configuration realizing a given mass asymmetry (kg).
 
     Keeps the inertial masses and the proton's gravitational mass at their
     CODATA values and solves for the electron's gravitational mass.
     """
-    c = constants if constants is not None else codata_defaults()
+    c = codata_defaults()
     total = c.m_e_ref + c.m_p_ref
     mbar_e = (c.m_p_ref * c.m_e_ref - mass_asymmetry * total) / c.m_p_ref
     return MassModel(m_e=c.m_e_ref, m_p=c.m_p_ref, mbar_e=mbar_e, mbar_p=c.m_p_ref)

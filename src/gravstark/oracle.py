@@ -65,6 +65,25 @@ _SCAN_MARGIN = 0.6             # Hartree searched beyond each side of a scan win
 _SCAN_START_DEPTH = 8          # bisection-tree level of a scan's first, narrowest solves
 
 
+def _check_coefficients(spacing: float, l: int, wall_force: float) -> None:
+    """Raise ``ValueError`` unless a grid Hamiltonian's Gershgorin bound is a finite float.
+
+    The bound 2/h^2 + l(l+1)/(2h^2) + 1/h + F L holds the kinetic diagonal and
+    its two neighbours, the centrifugal and Coulomb terms at the first point
+    and the field ``wall_force`` = F L at the far wall, so every entry and
+    every Gershgorin end point built from them is finite too.
+    """
+    try:
+        bound = (2.0 + l * (l + 1) / 2.0) / spacing**2 + 1.0 / spacing + wall_force
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"grid coefficients overflow a float at spacing {spacing}, l = {l} "
+            f"and far-wall force {wall_force}"
+        )
+
+
 def _solve_radial(spacing: float, r_max: float, l: int, count: int):
     """Lowest ``count`` raw finite-difference eigenpairs at one spacing.
 
@@ -73,6 +92,7 @@ def _solve_radial(spacing: float, r_max: float, l: int, count: int):
     n_points = round(r_max / spacing)
     if count > n_points - 1:
         raise ValueError("grid too small for the requested number of states")
+    _check_coefficients(spacing, l, 0.0)
     # Imported here: scipy.linalg is slow to import and only the grid solves need it.
     from scipy.linalg import eigh_tridiagonal
     r = spacing * np.arange(1, n_points + 1)
@@ -426,6 +446,7 @@ def stabilization_scan(
         raise ValueError(
             f"box size {sizes[0]} holds fewer than 3 grid points at spacing {spacing}"
         )
+    _check_coefficients(spacing, 0, field_force * sizes[-1])
 
     out = []
     for box, count in zip(sizes, counts):

@@ -17,14 +17,11 @@ centre of mass alone, with gravitational masses equal to the inertial ones;
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import NamedTuple
 
-from .constants import PhysicalConstants, atomic_scale, codata_defaults
-from .errors import ResourceLimitError, UndefinedRatioError, representable
+from .constants import atomic_scale, codata_defaults
+from .errors import UndefinedRatioError, representable
 from .masses import MassModel, derive_composites
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FieldSpec",
@@ -114,16 +111,14 @@ def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
     )
 
 
-def verify_separability(
-    model: MassModel,
-    field: FieldSpec,
-    points_per_axis: int = 48,
-    psi_cm: Callable[[np.ndarray], np.ndarray] | None = None,
-    psi_rel: Callable[[np.ndarray], np.ndarray] | None = None,
-    half_width: float = 7.0,
-    softening: float = 0.1,
-    constants: PhysicalConstants | None = None,
-) -> float:
+# The dense check's fixed surrogate: 48 points per axis over [-7, 7] Bohr,
+# Gaussian trial factors in R and r, and a Coulomb softening of 0.1 Bohr.
+_POINTS_PER_AXIS = 48
+_HALF_WIDTH = 7.0
+_SOFTENING = 0.1
+
+
+def verify_separability(model: MassModel, field: FieldSpec) -> float:
     """Maximum pointwise relative residual between the two-body operator and
     the sum of the separated operators, applied to a product trial state.
 
@@ -132,31 +127,19 @@ def verify_separability(
     identities (kinetic cross-term cancellation and potential regrouping)
     rather than stencil truncation error.  The Coulomb term uses an identical
     softened form 1/sqrt(r^2 + s^2) on both sides.  Runs in atomic units of
-    the configuration's reduced mass.
+    the configuration's reduced mass, with the CODATA constants.
     """
-    if points_per_axis > 64:
-        raise ResourceLimitError("dense separability check limited to 64 points per axis")
-    if points_per_axis < 8:
-        raise ValueError("need at least 8 points per axis")
     # Imported here, so that the scalar functions of this module load no numpy.
     import numpy as np
 
-    consts = constants if constants is not None else codata_defaults()
     comp = derive_composites(model)
-    scale = atomic_scale(consts, comp.reduced_mass)
-
-    if psi_cm is None:
-        psi_cm = lambda R: np.exp(-((R - 0.8) ** 2) / (2.0 * 1.9**2))
-    if psi_rel is None:
-        psi_rel = lambda r: np.exp(-((r + 0.5) ** 2) / (2.0 * 1.3**2))
+    scale = atomic_scale(codata_defaults(), comp.reduced_mass)
 
     # 1D factor samples on ghost-extended grids; central stencils everywhere.
-    step = 2.0 * half_width / (points_per_axis - 1)
-    ext = -half_width - step + step * np.arange(points_per_axis + 2)
-    A_ext = np.asarray(psi_cm(ext), dtype=float)
-    B_ext = np.asarray(psi_rel(ext), dtype=float)
-    if np.max(np.abs(A_ext)) == 0.0 or np.max(np.abs(B_ext)) == 0.0:
-        return 0.0
+    step = 2.0 * _HALF_WIDTH / (_POINTS_PER_AXIS - 1)
+    ext = -_HALF_WIDTH - step + step * np.arange(_POINTS_PER_AXIS + 2)
+    A_ext = np.exp(-((ext - 0.8) ** 2) / (2.0 * 1.9**2))
+    B_ext = np.exp(-((ext + 0.5) ** 2) / (2.0 * 1.3**2))
 
     R = ext[1:-1]
     r = ext[1:-1]
@@ -192,7 +175,7 @@ def verify_separability(
 
     X = R[:, None] + fp * r[None, :]
     Y = R[:, None] - fe * r[None, :]
-    coulomb = -1.0 / np.sqrt(r**2 + softening**2)
+    coulomb = -1.0 / np.sqrt(r**2 + _SOFTENING**2)
 
     d2x = fe**2 * d2R + 2.0 * fe * cross + d2r
     d2y = fp**2 * d2R - 2.0 * fp * cross + d2r

@@ -24,20 +24,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_table(
-    rows: Sequence[Mapping],
-    output_format: str,
-    sink: IO[str],
-    fieldnames: Sequence[str] | None = None,
-) -> None:
-    """Write homogeneous ``rows`` to ``sink`` as CSV or JSON."""
-    rows = list(rows)
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames are required for an empty table")
-        fieldnames = list(rows[0].keys())
+def emit_table(rows: Sequence[Mapping], output_format: str, sink: IO[str]) -> None:
+    """Write homogeneous ``rows`` to ``sink`` as CSV or JSON; the first row's
+    keys are the header, so the table must not be empty."""
+    if not rows:
+        raise ValueError("cannot emit an empty table")
+    fieldnames = list(rows[0].keys())
     for row in rows:
-        if list(row.keys()) != list(fieldnames):
+        if list(row.keys()) != fieldnames:
             raise ValueError("rows are not homogeneous")
 
     if output_format == "csv":

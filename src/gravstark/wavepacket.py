@@ -28,7 +28,6 @@ from .errors import (
 
 __all__ = [
     "Wavefunction1D",
-    "PropagationSpec",
     "gaussian_packet",
     "propagate",
     "fidelity",
@@ -93,26 +92,6 @@ def gaussian_packet(
     return state
 
 
-class PropagationSpec:
-    """Potential, mass, and stepping of one propagation run; compares by identity.
-
-    ``potential`` holds one value per grid point.  ``dt`` may be negative
-    (backward propagation); the spectral stability bound |dt| E_kin_max < pi
-    is enforced when propagation starts.
-    """
-
-    __slots__ = ("potential", "mass", "dt", "steps")
-
-    def __init__(self, potential: np.ndarray, mass: float, dt: float, steps: int) -> None:
-        if dt == 0.0 or not math.isfinite(dt):
-            raise ValueError("dt must be nonzero and finite")
-        if steps < 1:
-            raise ValueError("steps must be at least 1")
-        if mass <= 0.0:
-            raise ValueError("mass must be positive")
-        self.potential, self.mass, self.dt, self.steps = potential, mass, dt, steps
-
-
 def _check_health(psi: np.ndarray, step: int) -> None:
     peak = float(np.max(np.abs(psi)))
     if not math.isfinite(peak) or peak == 0.0:
@@ -138,23 +117,36 @@ def _wavenumbers(state: Wavefunction1D) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(state.point_count, d=state.dx)
 
 
-def propagate(state: Wavefunction1D, spec: PropagationSpec) -> Wavefunction1D:
-    """Evolve ``state`` through ``spec.steps`` Strang-split steps."""
+def propagate(
+    state: Wavefunction1D, potential: np.ndarray, mass: float, dt: float, steps: int
+) -> Wavefunction1D:
+    """Evolve ``state`` through ``steps`` Strang-split steps of ``dt`` under the
+    static ``potential``, one value per grid point.
+
+    ``dt`` may be negative (backward propagation); the spectral stability
+    bound |dt| E_kin_max < pi is enforced before the first step.
+    """
+    if dt == 0.0 or not math.isfinite(dt):
+        raise ValueError("dt must be nonzero and finite")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if mass <= 0.0:
+        raise ValueError("mass must be positive")
     k = _wavenumbers(state)
     k_max = math.pi / state.dx
-    if abs(spec.dt) * k_max**2 / (2.0 * spec.mass) >= math.pi:
+    if abs(dt) * k_max**2 / (2.0 * mass) >= math.pi:
         raise StabilityBoundError(
             "time step violates |dt| * E_kin_max < pi; shrink dt or coarsen the grid"
         )
-    kinetic = np.exp(-1j * k**2 * spec.dt / (2.0 * spec.mass))
-    if np.shape(spec.potential) != (state.point_count,):
+    kinetic = np.exp(-1j * k**2 * dt / (2.0 * mass))
+    if np.shape(potential) != (state.point_count,):
         raise ValueError("the potential must hold one value per grid point")
-    half = np.exp(-0.5j * np.asarray(spec.potential, dtype=float) * spec.dt)
+    half = np.exp(-0.5j * np.asarray(potential, dtype=float) * dt)
 
-    checked = frozenset(_check_steps(spec.steps))
+    checked = frozenset(_check_steps(steps))
     psi = state.samples.copy()
     spectrum = np.empty_like(psi)
-    for step in range(spec.steps):
+    for step in range(steps):
         psi *= half
         np.fft.fft(psi, out=spectrum)
         spectrum *= kinetic

@@ -39,7 +39,7 @@ def equal_masses(consts):
 @pytest.fixture(scope="session")
 def violating_model(consts):
     """Configuration whose mass asymmetry is 1.1 electron masses."""
-    return model_with_asymmetry(1.1 * consts.m_e_ref, consts)
+    return model_with_asymmetry(1.1 * consts.m_e_ref)
 
 
 @pytest.fixture(scope="session")

@@ -17,12 +17,7 @@ from gravstark.masses import CompositeMasses, MassModel, derive_composites, mode
 from gravstark.oracle import radial_eigensolve, stabilization_scan
 from gravstark.parabolic import degenerate_pt, evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec, separate_gravitational
-from gravstark.wavepacket import (
-    PropagationSpec,
-    fidelity,
-    gaussian_packet,
-    propagate,
-)
+from gravstark.wavepacket import fidelity, gaussian_packet, propagate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -46,7 +41,7 @@ def test_criterion_01_bohr_spectrum_oracle():
 
 def test_criterion_02_first_order_shifts_match_oracle():
     consts = codata_defaults()
-    comp = derive_composites(model_with_asymmetry(1.1 * consts.m_e_ref, consts))
+    comp = derive_composites(model_with_asymmetry(1.1 * consts.m_e_ref))
     field = FieldSpec(magnitude=9.8)
     worst = 0.0
     for n in (1, 2, 3, 4, 7, 20, 50):
@@ -125,7 +120,7 @@ def test_criterion_04_equivalence_implies_stability(tmp_path):
 
 def test_criterion_05_closed_form_exponent():
     consts = codata_defaults()
-    comp = derive_composites(model_with_asymmetry(consts.m_e_ref, consts))
+    comp = derive_composites(model_with_asymmetry(consts.m_e_ref))
     estimate = compare_lifetimes(comp, FieldSpec(magnitude=9.8), consts)
 
     m_e, c = 9.1093837015e-31, 299792458.0
@@ -140,7 +135,7 @@ def test_criterion_05_closed_form_exponent():
 
 def test_criterion_06_wkb_scaling():
     consts = codata_defaults()
-    comp = derive_composites(model_with_asymmetry(consts.m_e_ref, consts))
+    comp = derive_composites(model_with_asymmetry(consts.m_e_ref))
     scale = atomic_scale(consts, comp.reduced_mass)
 
     def field(force_atomic: float) -> FieldSpec:
@@ -219,19 +214,13 @@ def test_criterion_09_frame_asymmetry_randomized():
 def test_criterion_10_propagator_health():
     # unitarity over 1e4 steps
     state = gaussian_packet(-16.0, 16.0, 512, center=2.0, sigma=0.8)
-    out = propagate(
-        state,
-        PropagationSpec(potential=0.5 * state.grid() ** 2, mass=1.0, dt=2e-3, steps=10_000),
-    )
+    out = propagate(state, 0.5 * state.grid() ** 2, 1.0, 2e-3, 10_000)
     drift = abs(out.norm() - state.norm())
     assert drift < 1e-10
 
     # analytic free-Gaussian dispersion
     packet = gaussian_packet(-24.0, 24.0, 1024, center=0.0, sigma=1.0, momentum=1.5)
-    evolved = propagate(
-        packet,
-        PropagationSpec(potential=np.zeros(1024), mass=1.0, dt=1.0 / 1024, steps=1024),
-    )
+    evolved = propagate(packet, np.zeros(1024), 1.0, 1.0 / 1024, 1024)
     x = evolved.grid()
     tau = 1.0 / 2.0
     prefactor = (2.0 * math.pi) ** (-0.25) / np.sqrt(1.0 + 1j * tau)
@@ -247,16 +236,10 @@ def test_criterion_10_propagator_health():
     period = 2.0 * math.pi
 
     def distance(steps: int, reference) -> float:
-        evolved = propagate(
-            coherent,
-            PropagationSpec(potential=harmonic, mass=1.0, dt=period / steps, steps=steps),
-        )
+        evolved = propagate(coherent, harmonic, 1.0, period / steps, steps)
         return float(np.linalg.norm(evolved.samples - reference.samples)) * math.sqrt(evolved.dx)
 
-    reference = propagate(
-        coherent,
-        PropagationSpec(potential=harmonic, mass=1.0, dt=period / 32768, steps=32768),
-    )
+    reference = propagate(coherent, harmonic, 1.0, period / 32768, 32768)
     ratio = distance(2048, reference) / distance(4096, reference)
     assert 3.0 < ratio < 5.0
     report(

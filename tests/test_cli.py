@@ -508,6 +508,21 @@ def test_unusable_stability_grid_exits_2(flags, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["stability", "--window", "-1e-3", "0.02"], 0),
+        (["frame-check", "--a", "-1e-3", "--grid", "512", "--steps", "256"], 0),
+        (["stability", "--window", "-inf", "0.02"], 2),
+    ],
+    ids=["window", "acceleration", "minus-inf"],
+)
+def test_negative_values_in_scientific_notation_are_read_as_values(argv, code, capsys):
+    # argparse alone takes "-1e-3" and "-inf" for unknown flags: a usage error.
+    assert run(argv) == code
+    assert "usage:" not in capsys.readouterr().err
+
+
 # --- every accepted scalar input: finite normal numbers, or exit 2 or 3 ---------
 
 _EXTREMES = [0.0, 1e-300, -1e-300, 1e300, -1e300]
@@ -652,3 +667,94 @@ def test_scalar_commands_print_normal_floats_or_exit_2_or_3(
             assert stable, (masses, g)
         elif abs(asymmetry) > 2.0**-50 * max(map(abs, products)):
             assert not stable, (masses, g)
+
+
+# --- every accepted array input: finite numbers, or exit 2 or 3 -----------------
+
+def _decades(lo, hi):
+    """10**e for e drawn from [lo, hi]: 0.0 below the float range."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.01, math.inf, math.nan])
+# At most 20,000 points on every grid (the radial solve's second grid has twice
+# as many), and a frame grid of at most 2048 points stepped at most 512 times.
+_SPECTRUM = st.builds(
+    lambda l, count, spacing, points: [
+        "spectrum", f"--l={l}", f"--count={count}",
+        f"--spacing={spacing!r}", f"--r-max={points * spacing!r}",
+    ],
+    st.integers(0, 4),
+    st.integers(0, 11),
+    st.one_of(st.floats(0.005, 0.2), _decades(-330.0, 1.0), _SPECIAL),
+    st.one_of(st.integers(200, 20_000), st.integers(1, 20_000)),
+)
+_STABILITY = st.builds(
+    lambda spacing, counts, force, window: [
+        "stability", f"--spacing={spacing!r}",
+        "--boxes=" + ",".join(repr(count * spacing) for count in sorted(counts)),
+        f"--f-atomic={force!r}", "--window", repr(window[0]), repr(window[1]),
+    ],
+    st.one_of(st.floats(0.02, 0.2), _decades(-330.0, 2.0), _SPECIAL),
+    st.lists(st.integers(1, 20_000), min_size=3, max_size=3, unique=True),
+    st.one_of(st.just(0.0), _decades(-12.0, 308.3), _SPECIAL),
+    st.one_of(
+        st.just((-0.02, 0.02)),
+        st.just((-0.02, 1e300)),
+        st.tuples(st.floats(-1.0, 0.5), st.floats(1e-6, 1.0)).map(lambda w: (w[0], w[0] + w[1])),
+    ),
+)
+_FRAME_CHECK = st.builds(
+    lambda a, time, grid, steps: [
+        "frame-check", f"--a={a!r}", f"--time={time!r}", f"--grid={grid}", f"--steps={steps}",
+    ],
+    st.one_of(st.floats(-5.0, 5.0), st.sampled_from([1e154, -1e300, math.inf, math.nan])),
+    st.one_of(st.floats(-0.5, 2.0), _decades(-330.0, 308.0), _SPECIAL),
+    st.sampled_from([128, 256, 300, 512, 1024, 2048]),
+    st.integers(0, 512),
+)
+
+
+@settings(max_examples=40)
+# Coefficients that overflow: 1/h^2 at h = 1e-170 and 1e-160, F L at F = 1e308.
+@example(argv=["spectrum", "--spacing", "1e-170", "--r-max", "1e-167"], output_format="csv")
+@example(
+    argv=["stability", "--spacing", "1e-170", "--boxes", "1e-168,2e-168,3e-168"],
+    output_format="csv",
+)
+@example(
+    argv=["stability", "--spacing", "1e-160", "--boxes", "1e-158,2e-158,3e-158"],
+    output_format="json",
+)
+@example(argv=["stability", "--f-atomic", "1e308"], output_format="csv")
+# A negative time is refused before either path is built.
+@example(argv=["frame-check", "--time", "-1"], output_format="json")
+@given(
+    argv=st.one_of(_SPECTRUM, _STABILITY, _FRAME_CHECK),
+    output_format=st.sampled_from(["csv", "json"]),
+)
+def test_array_commands_print_finite_numbers_or_exit_2_or_3(argv, output_format):
+    from unittest import mock
+
+    from gravstark import frames
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(frames, "propagate", wraps=frames.propagate) as stepped:
+        warnings.simplefilter("always")
+        code = run([*argv, "--format", output_format])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err
+    assert "Warning" not in err and not caught, (argv, [str(w.message) for w in caught])
+    if code != 0:
+        assert out == ""
+        assert err.count("\n") == 1, (argv, err)
+        # A configuration error is found before any grid is stepped.
+        assert code == 3 or not stepped.called, (argv, err)
+        return
+    numbers, _ = _printed_floats(out, output_format)
+    assert numbers
+    for value in numbers:
+        assert math.isfinite(value), (argv, value)

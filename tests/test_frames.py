@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gravstark import frames
 from gravstark.errors import DomainEscapeError, UndefinedRatioError
 from gravstark.frames import _transform_wavefunction, frame_equivalence_check
 from gravstark.masses import MassModel, derive_composites
 from gravstark.separation import FieldSpec, frame_discrepancy, separate_gravitational
 from gravstark.wavepacket import (
-    PropagationSpec,
     _free_evolution,
     fidelity,
     gaussian_packet,
@@ -132,13 +134,9 @@ def test_transform_then_propagate_equals_propagate_then_transform():
     initial = gaussian_packet(-24.0, 24.0, 1024, sigma=1.0)
     dt = total_time / steps
 
-    free = propagate(
-        initial, PropagationSpec(potential=np.zeros(1024), mass=1.0, dt=dt, steps=steps)
-    )
+    free = propagate(initial, np.zeros(1024), 1.0, dt, steps)
     path_a = _transform_wavefunction(free, accel, total_time)
-    path_b = propagate(
-        initial, PropagationSpec(potential=accel * initial.grid(), mass=1.0, dt=dt, steps=steps)
-    )
+    path_b = propagate(initial, accel * initial.grid(), 1.0, dt, steps)
     assert fidelity(path_a, path_b) >= 1.0 - 1e-6
     # the check is, bit for bit, the closed-form free path and one stepped
     # run of path B, compared once the predicted splitting phase is removed
@@ -162,3 +160,14 @@ def test_paths_differ_only_by_the_splitting_phase(accel):
     )
     assert result.max_pointwise_error <= 1e-12
     assert result.fidelity >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("total_time", [-1.0, 0.0, math.nan, math.inf])
+def test_frame_check_refuses_a_time_that_is_not_positive_before_stepping(total_time, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path was built for a refused time")
+
+    monkeypatch.setattr(frames, "propagate", refuse)
+    monkeypatch.setattr(frames, "_free_evolution", refuse)
+    with pytest.raises(ValueError, match="total_time must be positive and finite"):
+        frame_equivalence_check(total_time=total_time)

@@ -133,18 +133,18 @@ PUBLIC_NAMES = {
     "ParabolicLevel", "evaluate_levels", "splitting_table", "compare_lifetimes",
     # numerical routes
     "degenerate_pt", "radial_eigensolve", "stabilization_scan",
-    "frame_discrepancy", "frame_equivalence_check", "PropagationSpec", "Wavefunction1D",
+    "frame_discrepancy", "frame_equivalence_check", "Wavefunction1D",
     "fidelity", "gaussian_packet", "propagate",
     # errors
     "BoundaryEscapeError", "DomainEscapeError", "EigensolverError", "EmptyWindowError",
     "GravstarkError", "GridResolutionError", "NoBarrierError", "PropagationError",
-    "ResourceLimitError", "StabilityBoundError",
+    "StabilityBoundError",
     "UndefinedRatioError", "UnrepresentableError",
 }
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 34
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the

@@ -95,7 +95,7 @@ def test_negative_gravitational_masses_allowed():
 
 def test_model_with_asymmetry_round_trip(consts):
     target = 0.37 * consts.m_e_ref
-    comp = derive_composites(model_with_asymmetry(target, consts))
+    comp = derive_composites(model_with_asymmetry(target))
     assert comp.mass_asymmetry == pytest.approx(target, rel=1e-12)
 
 

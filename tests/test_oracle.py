@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,28 @@ def test_count_range_enforced():
         radial_eigensolve(0.01, 60.0, 0, 0)
     with pytest.raises(ValueError):
         radial_eigensolve(0.01, 60.0, 0, 11)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: _solve_radial(1e-170, 1e-167, 0, 3),
+        lambda: _solve_radial(1e-160, 1e-157, 0, 3),
+        lambda: _solve_radial(0.01, 80.0, 10**200, 3),
+        lambda: stabilization_scan([1e-168, 2e-168, 3e-168], 1e-3, (-0.02, 0.02), spacing=1e-170),
+        lambda: stabilization_scan([1e-158, 2e-158, 3e-158], 1e-3, (-0.02, 0.02), spacing=1e-160),
+        lambda: stabilization_scan([50.0, 100.0, 200.0], 1e308, (-0.02, 0.02)),
+    ],
+    ids=["radial-h2-underflow", "radial-h2-overflow", "radial-huge-l",
+         "scan-h2-underflow", "scan-h2-overflow", "scan-wall-force"],
+)
+def test_overflowing_grid_coefficients_rejected(solve):
+    # One ValueError from the coefficient bound, raised before numpy forms any
+    # entry, so no ZeroDivisionError, inf or RuntimeWarning gets out.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid coefficients overflow a float"):
+            solve()
 
 
 # --- dipole matrix elements --------------------------------------------------

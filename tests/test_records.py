@@ -11,7 +11,7 @@ from gravstark.masses import CompositeMasses, MassModel
 from gravstark.oracle import ScanPoint
 from gravstark.parabolic import ParabolicLevel, SplittingTable, Sublevel
 from gravstark.separation import FieldSpec, FrameDiscrepancy, SeparatedHamiltonian
-from gravstark.wavepacket import PropagationSpec, Wavefunction1D
+from gravstark.wavepacket import Wavefunction1D, gaussian_packet, propagate
 
 # PhysicalConstants' fields in their order, with the CODATA values.
 CODATA = {
@@ -75,9 +75,7 @@ def test_array_records_compare_by_identity():
     state, twin = (Wavefunction1D(samples, -1.0, 1.0, 256) for _ in range(2))
     assert state == state and state != twin
     assert state.samples.dtype == np.complex128
-    spec, other = (PropagationSpec(np.zeros(256), 1.0, 0.1, 4) for _ in range(2))
-    assert spec == spec and spec != other
-    assert len({state, twin, spec, other}) == 4
+    assert len({state, twin}) == 2
 
 
 BAD_INPUTS = [
@@ -95,11 +93,12 @@ BAD_INPUTS = [
      "gravitational masses must be finite"),
     (lambda: FieldSpec(magnitude=-1.0), "field magnitude must be non-negative and finite"),
     (lambda: FieldSpec(float("inf")), "field magnitude must be non-negative and finite"),
-    (lambda: PropagationSpec(np.zeros(256), mass=1.0, dt=0.0, steps=1),
+    # propagate checks its run's settings before it builds anything.
+    (lambda: propagate(gaussian_packet(-8.0, 8.0, 256), np.zeros(256), mass=1.0, dt=0.0, steps=1),
      "dt must be nonzero and finite"),
-    (lambda: PropagationSpec(np.zeros(256), mass=1.0, dt=0.1, steps=0),
+    (lambda: propagate(gaussian_packet(-8.0, 8.0, 256), np.zeros(256), mass=1.0, dt=0.1, steps=0),
      "steps must be at least 1"),
-    (lambda: PropagationSpec(np.zeros(256), mass=-1.0, dt=0.1, steps=1),
+    (lambda: propagate(gaussian_packet(-8.0, 8.0, 256), np.zeros(256), mass=-1.0, dt=0.1, steps=1),
      "mass must be positive"),
     (lambda: Wavefunction1D(np.zeros(300), -1.0, 1.0, 300),
      "point_count must be a power of two, at least 256"),

@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from gravstark.errors import ResourceLimitError
 from gravstark.masses import MassModel, derive_composites
 from gravstark.separation import FieldSpec, separate_gravitational, verify_separability
 
@@ -68,20 +66,5 @@ def test_separability_exact_for_wild_masses(terrestrial_field):
     # the split is exact algebra for any masses, including negative
     # gravitational ones and a strong field
     model = MassModel(m_e=1.0e-30, m_p=5.0e-27, mbar_e=-3.0e-30, mbar_p=2.0e-27)
-    residual = verify_separability(model, FieldSpec(magnitude=1.0e12), points_per_axis=64)
+    residual = verify_separability(model, FieldSpec(magnitude=1.0e12))
     assert residual <= RESIDUAL_BOUND
-
-
-def test_zero_wavefunction_residual_is_zero(equal_masses, terrestrial_field):
-    residual = verify_separability(
-        equal_masses,
-        terrestrial_field,
-        psi_cm=lambda R: np.zeros_like(R),
-        psi_rel=lambda r: np.zeros_like(r),
-    )
-    assert residual == 0.0
-
-
-def test_oversized_grid_rejected(equal_masses, terrestrial_field):
-    with pytest.raises(ResourceLimitError):
-        verify_separability(equal_masses, terrestrial_field, points_per_axis=65)

@@ -6,15 +6,10 @@ import pytest
 from gravstark.tables import emit_record, emit_table
 
 
-def render(rows, fmt, fieldnames=None) -> str:
+def render(rows, fmt) -> str:
     sink = io.StringIO()
-    emit_table(rows, fmt, sink, fieldnames=fieldnames)
+    emit_table(rows, fmt, sink)
     return sink.getvalue()
-
-
-def test_empty_rows_csv_header_only():
-    out = render([], "csv", fieldnames=["a", "b"])
-    assert out == "a,b\n"
 
 
 def test_single_row_json_array():

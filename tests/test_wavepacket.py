@@ -5,7 +5,6 @@ import pytest
 
 from gravstark.errors import BoundaryEscapeError, StabilityBoundError
 from gravstark.wavepacket import (
-    PropagationSpec,
     Wavefunction1D,
     _wavenumbers,
     fidelity,
@@ -52,22 +51,21 @@ def test_gaussian_packet_normalized():
 
 
 def test_spec_validation():
+    state = gaussian_packet(-16.0, 16.0, 256)
     zero = np.zeros(256)
-    with pytest.raises(ValueError):
-        PropagationSpec(potential=zero, mass=1.0, dt=0.0, steps=10)
-    with pytest.raises(ValueError):
-        PropagationSpec(potential=zero, mass=1.0, dt=1e-3, steps=0)
-    with pytest.raises(ValueError):
-        PropagationSpec(potential=zero, mass=-1.0, dt=1e-3, steps=1)
+    with pytest.raises(ValueError, match="dt must be nonzero"):
+        propagate(state, zero, 1.0, 0.0, 10)
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        propagate(state, zero, 1.0, 1e-3, 0)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        propagate(state, zero, -1.0, 1e-3, 1)
 
 
 # --- propagation -------------------------------------------------------------
 
 def test_free_gaussian_dispersion():
     state = gaussian_packet(-24.0, 24.0, 1024, center=0.0, sigma=1.0, momentum=1.5)
-    out = propagate(
-        state, PropagationSpec(potential=np.zeros(1024), mass=1.0, dt=1.0 / 1024, steps=1024)
-    )
+    out = propagate(state, np.zeros(1024), 1.0, 1.0 / 1024, 1024)
     exact = free_gaussian(out.grid(), 1.0, 0.0, 1.0, 1.5)
     assert np.max(np.abs(out.samples - exact)) < 1e-8
 
@@ -75,9 +73,7 @@ def test_free_gaussian_dispersion():
 def test_harmonic_period_return():
     state = gaussian_packet(-24.0, 24.0, 512, center=3.0, sigma=1.0 / math.sqrt(2.0))
     period = 2.0 * math.pi
-    out = propagate(
-        state, PropagationSpec(potential=harmonic(state), mass=1.0, dt=period / 4096, steps=4096)
-    )
+    out = propagate(state, harmonic(state), 1.0, period / 4096, 4096)
     assert fidelity(state, out) >= 1.0 - 1e-8
 
 
@@ -85,14 +81,10 @@ def test_second_order_convergence():
     state = gaussian_packet(-24.0, 24.0, 512, center=3.0, sigma=1.0 / math.sqrt(2.0))
     period = 2.0 * math.pi
     potential = harmonic(state)
-    reference = propagate(
-        state, PropagationSpec(potential=potential, mass=1.0, dt=period / 32768, steps=32768)
-    )
+    reference = propagate(state, potential, 1.0, period / 32768, 32768)
 
     def error(steps: int) -> float:
-        out = propagate(
-            state, PropagationSpec(potential=potential, mass=1.0, dt=period / steps, steps=steps)
-        )
+        out = propagate(state, potential, 1.0, period / steps, steps)
         return float(np.linalg.norm(out.samples - reference.samples)) * math.sqrt(out.dx)
 
     ratio = error(2048) / error(4096)
@@ -101,26 +93,22 @@ def test_second_order_convergence():
 
 def test_unitarity_drift():
     state = gaussian_packet(-16.0, 16.0, 512, center=2.0, sigma=0.8)
-    spec = PropagationSpec(potential=harmonic(state), mass=1.0, dt=2e-3, steps=10000)
-    out = propagate(state, spec)
+    out = propagate(state, harmonic(state), 1.0, 2e-3, 10000)
     assert abs(out.norm() - state.norm()) < 1e-10
 
 
 def test_time_reversal():
     state = gaussian_packet(-24.0, 24.0, 512, center=3.0, sigma=1.0)
     potential = harmonic(state)
-    forward = propagate(state, PropagationSpec(potential=potential, mass=1.0, dt=1e-3, steps=1000))
-    back = propagate(forward, PropagationSpec(potential=potential, mass=1.0, dt=-1e-3, steps=1000))
+    forward = propagate(state, potential, 1.0, 1e-3, 1000)
+    back = propagate(forward, potential, 1.0, -1e-3, 1000)
     assert fidelity(state, back) >= 1.0 - 1e-9
 
 
 def test_momentum_kick_identity():
     force = 0.5
     state = gaussian_packet(-24.0, 24.0, 1024, center=0.0, sigma=1.0)
-    out = propagate(
-        state,
-        PropagationSpec(potential=-force * state.grid(), mass=1.0, dt=1.0 / 1024, steps=1024),
-    )
+    out = propagate(state, -force * state.grid(), 1.0, 1.0 / 1024, 1024)
     assert mean_momentum(out) == pytest.approx(force * 1.0, rel=1e-8)
 
 
@@ -128,29 +116,28 @@ def test_stability_bound_enforced():
     state = gaussian_packet(-8.0, 8.0, 2048, sigma=0.5)
     # dx tiny, dt large: kinetic phase at the grid edge exceeds pi
     with pytest.raises(StabilityBoundError):
-        propagate(state, PropagationSpec(potential=np.zeros(2048), mass=1.0, dt=0.1, steps=1))
+        propagate(state, np.zeros(2048), 1.0, 0.1, 1)
 
 
 def test_boundary_escape_detected():
     state = gaussian_packet(-8.0, 8.0, 256, center=0.0, sigma=1.0, momentum=4.0)
     # fast packet crosses half the box well before the run ends
     with pytest.raises(BoundaryEscapeError):
-        propagate(state, PropagationSpec(potential=np.zeros(256), mass=1.0, dt=2e-3, steps=1500))
+        propagate(state, np.zeros(256), 1.0, 2e-3, 1500)
 
 
 def test_static_potential_shape_checked():
     state = gaussian_packet(-16.0, 16.0, 256, sigma=1.0)
     with pytest.raises(ValueError):
-        propagate(state, PropagationSpec(potential=np.zeros(512), mass=1.0, dt=1e-3, steps=1))
+        propagate(state, np.zeros(512), 1.0, 1e-3, 1)
 
 
 def test_closed_form_free_path_matches_stepped_free_propagation():
     # The frame check's default grid and stepping: the spectral multiply and
     # 4096 Strang steps with a zero potential agree to rounding.
     state = gaussian_packet(-24.0, 24.0, 2048, sigma=1.0)
-    spec = PropagationSpec(potential=np.zeros(2048), mass=1.0, dt=1.0 / 4096, steps=4096)
-    stepped = propagate(state, spec)
-    exact = _free_evolution(state, spec.mass, spec.dt, spec.steps)
+    stepped = propagate(state, np.zeros(2048), 1.0, 1.0 / 4096, 4096)
+    exact = _free_evolution(state, 1.0, 1.0 / 4096, 4096)
     assert np.max(np.abs(exact.samples - stepped.samples)) <= 1e-12
 
 
@@ -174,9 +161,8 @@ def test_free_path_is_health_checked_while_it_crosses_the_edge():
 
 def test_stepped_path_is_health_checked_while_it_crosses_the_edge():
     state = _round_trip_state()
-    spec = PropagationSpec(potential=np.zeros(state.point_count), **_ROUND_TRIP)
     with pytest.raises(BoundaryEscapeError):
-        propagate(state, spec)
+        propagate(state, np.zeros(state.point_count), **_ROUND_TRIP)
 
 
 def test_non_finite_potential_aborts():
@@ -185,7 +171,7 @@ def test_non_finite_potential_aborts():
     state = gaussian_packet(-16.0, 16.0, 256, sigma=1.0)
     bad = np.full(256, np.nan)
     with pytest.raises(PropagationError):
-        propagate(state, PropagationSpec(potential=bad, mass=1.0, dt=1e-3, steps=64))
+        propagate(state, bad, 1.0, 1e-3, 64)
 
 
 # --- fidelity -----------------------------------------------------------------
