@@ -40,7 +40,6 @@ from .separation import (
     FieldSpec,
     frame_discrepancy,
     separate_gravitational,
-    verify_separability,
 )
 
 _LAZY = {

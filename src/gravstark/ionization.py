@@ -45,7 +45,7 @@ import math
 from typing import NamedTuple
 
 from .constants import PhysicalConstants, atomic_scale
-from .errors import NoBarrierError, representable
+from .errors import NoBarrierError, _carried, representable
 from .masses import CompositeMasses
 from .separation import FieldSpec
 
@@ -163,10 +163,10 @@ def compare_lifetimes(
     A = 0 or g = 0 short-circuits into a stable report: with no residual
     force there is no decay channel and the lifetime is infinite.  The force
     magnitude |A| g enters every estimate, so the sign of the asymmetry is
-    irrelevant.  A nonzero coupling whose force, exponents, prefactor or
-    atomic scale leaves the float range raises ``UnrepresentableError``
-    rather than reporting stable, and a force too strong for a barrier below
-    the ground energy raises ``NoBarrierError``.
+    irrelevant.  A nonzero coupling whose printed force, exponents or ratio,
+    or whose atomic scale, leaves the float range raises
+    ``UnrepresentableError`` rather than reporting stable, and a force too
+    strong for a barrier below the ground energy raises ``NoBarrierError``.
 
     The WKB exponent matches 50-digit arithmetic to a few ulps (5.6e-16
     relative) for forces up to 1e-2 atomic units, 8.9e-16 from there up to
@@ -174,22 +174,29 @@ def compare_lifetimes(
     is a normal float.
     """
     a, g = composites.mass_asymmetry, field.magnitude
-    force = representable("internal force |A| g", abs(a) * g, a, g)
-    if force == 0.0:
+    if a == 0.0 or g == 0.0:
         return LifetimeComparison(stable=True, mass_asymmetry=a, field_magnitude=g)
     m_e = constants.m_e_ref
-    action = representable("|A| g hbar", force * constants.hbar)
+    # |A| g hbar is carried as mantissa and exponent, and the prefactor is
+    # formed only as its log10: either product may leave the float range
+    # while every printed number stays inside it.
+    action, action_exponent = _carried((abs(a), g, constants.hbar))
     closed_exponent = representable(
-        "closed-form exponent", m_e**2 * constants.c**3 * constants.alpha**3 / action
+        "closed-form exponent",
+        m_e**2 * constants.c**3 * constants.alpha**3 / action,
+        exponent=-action_exponent,
     )
-    prefactor = representable(
-        "lifetime prefactor",
-        force * constants.hbar**2 / (4.0 * m_e**3 * constants.c**5 * constants.alpha**5),
+    log10_prefactor = (
+        math.log10(action)
+        + action_exponent * math.log10(2.0)
+        + math.log10(constants.hbar)
+        - math.log10(4.0 * m_e**3 * constants.c**5 * constants.alpha**5)
     )
-    log10_tau_closed_form = math.log10(prefactor) + closed_exponent / math.log(10.0)
+    log10_tau_closed_form = log10_prefactor + closed_exponent / math.log(10.0)
 
     scale = atomic_scale(constants, composites.reduced_mass)
-    force_atomic = representable("internal force in atomic units", force / scale.force_atomic)
+    mantissa, power = _carried((abs(a), g), (scale.force_atomic,))
+    force_atomic = representable("internal force in atomic units", mantissa, exponent=power)
     exponent = representable("WKB exponent", _barrier_exponent(force_atomic))
     attempt_rate_si = (abs(GROUND_ENERGY) / math.pi) / scale.time_atomic
     log10_tau_wkb = exponent / math.log(10.0) - math.log10(attempt_rate_si)

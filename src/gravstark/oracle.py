@@ -304,20 +304,25 @@ def _tree_nodes(root: tuple[float, float], center: float, depth: int) -> list[tu
     return nodes
 
 
-def _start_depth(diag: np.ndarray, off: np.ndarray, root: tuple[float, float]) -> int:
-    """``_SCAN_START_DEPTH``, or 0 when tree nodes might not reproduce the root solve.
-
-    The root solve bisects from the window itself only when the window lies
-    inside the Gershgorin interval (LAPACK clips it to that interval), and a
-    node is solved as in the root call only while it is wider than the
-    stopping width.  ``slack`` bounds that width and LAPACK's Gershgorin fudge.
-    """
+def _gershgorin(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """The interval (low, high) of the Gershgorin discs, which holds every eigenvalue."""
     radius = np.zeros_like(diag)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
-    low = float(np.min(diag - radius))
-    high = float(np.max(diag + radius))
-    slack = 8.0 * diag.size * np.finfo(float).eps * max(abs(low), abs(high))
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def _start_depth(bounds: tuple[float, float], size: int, root: tuple[float, float]) -> int:
+    """``_SCAN_START_DEPTH``, or 0 when tree nodes might not reproduce the root solve.
+
+    The root solve bisects from the window itself only when the window lies
+    inside the Gershgorin interval ``bounds`` (LAPACK clips it to that
+    interval), and a node is solved as in the root call only while it is
+    wider than the stopping width.  ``slack`` bounds that width, for a matrix
+    of ``size`` rows, and LAPACK's Gershgorin fudge.
+    """
+    low, high = bounds
+    slack = 8.0 * size * np.finfo(float).eps * max(abs(low), abs(high))
     width = (root[1] - root[0]) / 2.0**_SCAN_START_DEPTH
     if low + slack < root[0] and root[1] < high - slack and width > slack:
         return _SCAN_START_DEPTH
@@ -356,8 +361,16 @@ def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: floa
         return eigvalsh_tridiagonal(diag, off, select="v", select_range=node)
 
     center = 0.5 * (lo + hi)
+    too_wide = (
+        f"energy window [{lo}, {hi}] is too wide to resolve levels around its centre {center}"
+    )
+    bounds = _gershgorin(diag, off)
+    if not math.ulp(center) < bounds[1] - bounds[0]:
+        # The floats at the centre are no finer than the whole spectrum, so
+        # |value - centre| cannot tell the levels apart: refused before any solve.
+        raise ValueError(too_wide)
     root = (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN)
-    depth = _start_depth(diag, off, root)
+    depth = _start_depth(bounds, diag.size, root)
     while True:
         nodes = _tree_nodes(root, center, depth)
         values = np.concatenate([solve(node) for node in nodes])
@@ -384,10 +397,7 @@ def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: floa
                 # Some value lies in [lo, hi], so the exact nearest one does
                 # too: this pick can only come from the centre absorbing
                 # every |value - centre|.
-                raise ValueError(
-                    f"energy window [{lo}, {hi}] is too wide to resolve levels "
-                    f"around its centre {center}"
-                )
+                raise ValueError(too_wide)
             if settled and not (has_upper or reaches_top):
                 for node in _nodes_above(root, depth, nodes[-1][1]):
                     above = solve(node)

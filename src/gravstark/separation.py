@@ -8,9 +8,8 @@ r = x - y separates the Hamiltonian exactly into
     internal: -(hbar^2/2mu) d^2/dr^2 + V(r) - A g . r
 
 where A is the mass asymmetry.  ``separate_gravitational`` returns the
-coefficients; ``verify_separability`` checks the operator identity on a dense
-1D two-particle surrogate.  A uniformly accelerated frame couples to the
-centre of mass alone, with gravitational masses equal to the inertial ones;
+coefficients.  A uniformly accelerated frame couples to the centre of mass
+alone, with gravitational masses equal to the inertial ones;
 ``frame_discrepancy`` reports how a real field of the same magnitude differs.
 """
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import atomic_scale, codata_defaults
 from .errors import UndefinedRatioError, representable
 from .masses import MassModel, derive_composites
 
@@ -29,7 +27,6 @@ __all__ = [
     "FrameDiscrepancy",
     "separate_gravitational",
     "frame_discrepancy",
-    "verify_separability",
 ]
 
 
@@ -109,86 +106,3 @@ def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
             magnitude,
         ),
     )
-
-
-# The dense check's fixed surrogate: 48 points per axis over [-7, 7] Bohr,
-# Gaussian trial factors in R and r, and a Coulomb softening of 0.1 Bohr.
-_POINTS_PER_AXIS = 48
-_HALF_WIDTH = 7.0
-_SOFTENING = 0.1
-
-
-def verify_separability(model: MassModel, field: FieldSpec) -> float:
-    """Maximum pointwise relative residual between the two-body operator and
-    the sum of the separated operators, applied to a product trial state.
-
-    Both sides are assembled from the same finite-difference derivative
-    tables of the two 1D factors, so the residual isolates the coefficient
-    identities (kinetic cross-term cancellation and potential regrouping)
-    rather than stencil truncation error.  The Coulomb term uses an identical
-    softened form 1/sqrt(r^2 + s^2) on both sides.  Runs in atomic units of
-    the configuration's reduced mass, with the CODATA constants.
-    """
-    # Imported here, so that the scalar functions of this module load no numpy.
-    import numpy as np
-
-    comp = derive_composites(model)
-    scale = atomic_scale(codata_defaults(), comp.reduced_mass)
-
-    # 1D factor samples on ghost-extended grids; central stencils everywhere.
-    step = 2.0 * _HALF_WIDTH / (_POINTS_PER_AXIS - 1)
-    ext = -_HALF_WIDTH - step + step * np.arange(_POINTS_PER_AXIS + 2)
-    A_ext = np.exp(-((ext - 0.8) ** 2) / (2.0 * 1.9**2))
-    B_ext = np.exp(-((ext + 0.5) ** 2) / (2.0 * 1.3**2))
-
-    R = ext[1:-1]
-    r = ext[1:-1]
-    A, A1, A2 = (
-        A_ext[1:-1],
-        (A_ext[2:] - A_ext[:-2]) / (2.0 * step),
-        (A_ext[2:] - 2.0 * A_ext[1:-1] + A_ext[:-2]) / step**2,
-    )
-    B, B1, B2 = (
-        B_ext[1:-1],
-        (B_ext[2:] - B_ext[:-2]) / (2.0 * step),
-        (B_ext[2:] - 2.0 * B_ext[1:-1] + B_ext[:-2]) / step**2,
-    )
-
-    mu = comp.reduced_mass
-    me_au = model.m_e / mu
-    mp_au = model.m_p / mu
-    M_au = comp.total_mass / mu
-    fe = model.m_e / comp.total_mass
-    fp = model.m_p / comp.total_mass
-
-    # Per-particle and regrouped field couplings in Hartree per Bohr.
-    g = field.magnitude
-    w_e = model.mbar_e * g / scale.force_atomic
-    w_p = model.mbar_p * g / scale.force_atomic
-    w_cm = comp.grav_total_mass * g / scale.force_atomic
-    w_int = comp.mass_asymmetry * g / scale.force_atomic
-
-    d2R = np.outer(A2, B)
-    d2r = np.outer(A, B2)
-    cross = np.outer(A1, B1)
-    prod = np.outer(A, B)
-
-    X = R[:, None] + fp * r[None, :]
-    Y = R[:, None] - fe * r[None, :]
-    coulomb = -1.0 / np.sqrt(r**2 + _SOFTENING**2)
-
-    d2x = fe**2 * d2R + 2.0 * fe * cross + d2r
-    d2y = fp**2 * d2R - 2.0 * fp * cross + d2r
-    lhs = (
-        -0.5 / me_au * d2x
-        - 0.5 / mp_au * d2y
-        + (coulomb[None, :] + w_e * X + w_p * Y) * prod
-    )
-    rhs = (
-        -0.5 / M_au * d2R
-        - 0.5 * d2r
-        + (coulomb[None, :] + w_cm * R[:, None] - w_int * r[None, :]) * prod
-    )
-
-    floor = np.finfo(float).eps
-    return float(np.max(np.abs(lhs - rhs)) / (np.max(np.abs(lhs)) + floor))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -278,10 +279,10 @@ def test_unrepresentable_split_exits_3(config, extra, capsys):
     assert "numerical failure" in captured.err
 
 
-@pytest.mark.parametrize("g", ["1e-300", "1e-280", "1e-250"])
+@pytest.mark.parametrize("g", ["1e-300", "1e-290", "1e-284"])
 def test_unrepresentable_lifetime_exits_3(g, tmp_path, capsys):
     # A nonzero coupling is never reported stable, however weak: here the
-    # force, |A| g hbar or the prefactor underflows.
+    # closed-form exponent overflows or F_atomic underflows.
     code = run(["lifetime", "--mbar-e-ratio", "1.1", "--g", g, "--format", "json"])
     err = capsys.readouterr().err
     assert code == 3
@@ -292,17 +293,26 @@ def test_unrepresentable_lifetime_exits_3(g, tmp_path, capsys):
     assert json.loads(out)["stable"] is True
 
 
-@pytest.mark.parametrize("g", ["1e-200", "1e-150"])
+@pytest.mark.parametrize("g", ["1e-150", "1e-200", "1e-225", "1e-250", "1e-280", "1e-283"])
 def test_weak_coupling_lifetime_is_finite(g, tmp_path):
     # The closed-form barrier integral never squares the ~1/F barrier width,
-    # so every number stays in range while the force and prefactor do.
-    record = json.loads(
-        invoke(["lifetime", "--mbar-e-ratio", "1.1", "--g", g, "--format", "json"], tmp_path)
-    )
+    # and |A| g hbar, |A| g and the prefactor are never formed as floats, so
+    # every number is printed while the printed ones are normal floats.
+    def report(field):
+        argv = ["lifetime", "--mbar-e-ratio", "1.1", "--g", field, "--format", "json"]
+        return json.loads(invoke(argv, tmp_path))
+
+    record, unit = report(g), report("1")
     assert record["stable"] is False
     numbers = [value for value in record.values() if type(value) is float]
     assert len(numbers) == 8
-    assert all(math.isfinite(value) and value != 0.0 for value in numbers)
+    assert all(math.isfinite(value) and abs(value) >= sys.float_info.min for value in numbers)
+    # F_atomic is linear in g and the closed-form exponent is inverse in g.
+    g = float(g)
+    assert record["F_atomic"] / g == pytest.approx(unit["F_atomic"], rel=1e-15, abs=0.0)
+    assert record["exponent_closed_form"] * g == pytest.approx(
+        unit["exponent_closed_form"], rel=1e-15, abs=0.0
+    )
     # In the weak-field limit the WKB exponent is 2/(3F) in units of the
     # reduced mass, and the closed form's is (m_e/mu)**2 / F.
     consts = codata_defaults()
@@ -506,6 +516,37 @@ def test_unusable_stability_grid_exits_2(flags, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_TOO_WIDE_WINDOWS = {
+    # The centre 5e299 would pick the ground level -0.50026 as the nearest.
+    "ground-level": ["--boxes", "20,30,40", "--spacing", "0.1", "--window", "-10", "1e300"],
+    # A solve of the whole spectrum on 19,021 points, 118 s, would pick the
+    # first box's lowest level, 4.6e137 Hartree.
+    "whole-spectrum": [
+        "--spacing=6.255410639110829e-72",
+        "--boxes=3.265324353615853e-69,6.311709334862826e-69,1.189904211771662e-67",
+        "--f-atomic=2.039860990150016e+112", "--window", "-0.02", "1e+300",
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", _TOO_WIDE_WINDOWS.values(), ids=_TOO_WIDE_WINDOWS.keys())
+def test_too_wide_stability_window_is_refused_before_any_solve(flags, monkeypatch, capsys):
+    import scipy.linalg
+
+    solves = []
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda *a, **k: solves.append(k))
+    start = time.perf_counter()
+    code = run(["stability", *flags])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: energy window [")
+    assert "too wide" in captured.err and captured.err.count("\n") == 1
+    assert solves == []
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
@@ -727,6 +768,8 @@ _FRAME_CHECK = st.builds(
     output_format="json",
 )
 @example(argv=["stability", "--f-atomic", "1e308"], output_format="csv")
+# A window whose centre, 5e299, no level can be resolved against.
+@example(argv=["stability", *_TOO_WIDE_WINDOWS["whole-spectrum"]], output_format="csv")
 # A negative time is refused before either path is built.
 @example(argv=["frame-check", "--time", "-1"], output_format="json")
 @given(

@@ -128,7 +128,7 @@ PUBLIC_NAMES = {
     # constants, masses, separation
     "PhysicalConstants", "atomic_scale", "codata_defaults",
     "CompositeMasses", "MassModel", "derive_composites", "model_with_asymmetry",
-    "FieldSpec", "separate_gravitational", "verify_separability",
+    "FieldSpec", "separate_gravitational",
     # closed forms
     "ParabolicLevel", "evaluate_levels", "splitting_table", "compare_lifetimes",
     # numerical routes
@@ -144,7 +144,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert set(gravstark.__all__) == PUBLIC_NAMES
     assert len(gravstark.__all__) == len(PUBLIC_NAMES)
     # Lazily exported names resolve on first access and then sit in the
