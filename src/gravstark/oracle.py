@@ -30,18 +30,16 @@ density of states (the integral of dx/p) grows like sqrt(L); bound levels
 converge.
 
 The scan's values are those of one value-mode bisection over the window
-widened by 0.6 Hartree on each side, yet it solves only tree nodes of that
-bisection: the ones next to the window centre and, when the upper neighbour
-lies above them, the following same-depth nodes up to the first non-empty
-one.  Bisection halves each interval at its float midpoint and stops at a
-width fixed by the Gershgorin bound and the interval's own end points, not by
-the search window, so a solve started on a tree node returns exactly the
-whole-window solve's floats inside it.
+widened by 0.6 Hartree on each side and clipped to the interval LAPACK
+bisects.  Bisection halves at float midpoints and stops at widths no window
+sets, so a solve over one leaf of that tree returns the whole-window floats
+inside it; the scan solves only leaves around the centre and its neighbour.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -62,7 +60,7 @@ LEVEL_GATE = 1e-12             # relative error allowed on -1/(2 n^2) of a basis
 _BASIS_SCALE = 1.237           # Laguerre scale nu over n: unmatched to the states' decay
 _BASIS_MARGIN = 40             # basis functions beyond the n - l of the wanted state
 _SCAN_MARGIN = 0.6             # Hartree searched beyond each side of a scan window
-_SCAN_START_DEPTH = 8          # bisection-tree level of a scan's first, narrowest solves
+_SCAN_DEPTH = 8                # bisection-tree depth of the leaves a scan solves
 
 
 def _check_coefficients(spacing: float, l: int, wall_force: float) -> None:
@@ -287,128 +285,92 @@ class ScanPoint(NamedTuple):
     level_spacing: float
 
 
-def _tree_nodes(root: tuple[float, float], center: float, depth: int) -> list[tuple[float, float]]:
-    """Ascending nodes (a, b] at ``depth`` of the midpoint bisection tree over
-    ``root`` that meet center +- half a node width (the root itself at depth 0)."""
-    reach = (root[1] - root[0]) / 2.0 ** (depth + 1)
-    nodes = [root]
-    for _ in range(depth):
-        children = []
-        for a, b in nodes:
-            mid = 0.5 * (a + b)
-            children += [
-                (left, right) for left, right in ((a, mid), (mid, b))
-                if left < center + reach and right > center - reach
-            ]
-        nodes = children
-    return nodes
-
-
-def _gershgorin(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
-    """The interval (low, high) of the Gershgorin discs, which holds every eigenvalue."""
-    radius = np.zeros_like(diag)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
-def _start_depth(bounds: tuple[float, float], size: int, root: tuple[float, float]) -> int:
-    """``_SCAN_START_DEPTH``, or 0 when tree nodes might not reproduce the root solve.
-
-    The root solve bisects from the window itself only when the window lies
-    inside the Gershgorin interval ``bounds`` (LAPACK clips it to that
-    interval), and a node is solved as in the root call only while it is
-    wider than the stopping width.  ``slack`` bounds that width, for a matrix
-    of ``size`` rows, and LAPACK's Gershgorin fudge.
-    """
-    low, high = bounds
-    slack = 8.0 * size * np.finfo(float).eps * max(abs(low), abs(high))
-    width = (root[1] - root[0]) / 2.0**_SCAN_START_DEPTH
-    if low + slack < root[0] and root[1] < high - slack and width > slack:
-        return _SCAN_START_DEPTH
-    return 0
-
-
-def _nodes_above(root: tuple[float, float], depth: int, start: float):
-    """Ascending nodes (a, b] at ``depth`` of the midpoint bisection tree over
-    ``root`` that lie above ``start``, generated one at a time."""
-    stack = [(root, depth)]
-    while stack:
-        (a, b), level = stack.pop()
-        if b <= start:
-            continue
-        if level == 0:
-            yield a, b
-            continue
-        mid = 0.5 * (a + b)
-        stack += [((mid, b), level - 1), ((a, mid), level - 1)]
+def _stebz_interval(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """The interval (low, high] that LAPACK ``stebz`` bisects for an unsplit
+    matrix: the Gershgorin interval widened by its fudge, formed op for op."""
+    radius = np.abs(off)
+    left, right = np.append(0.0, radius), np.append(radius, 0.0)
+    low, high = float(np.min(diag - left - right)), float(np.max(diag + left + right))
+    peak = float(np.max(radius))
+    pivmin = max(1.0, peak * peak) * sys.float_info.min
+    fudge = 2.1 * max(abs(low), abs(high)) * 2.0**-52 * diag.size
+    return low - fudge - 2.1 * pivmin, high + fudge + 2.1 * pivmin
 
 
 def _scan_box(diag: np.ndarray, off: np.ndarray, box: float, lo: float, hi: float):
     """(energy, level spacing) of the eigenvalue nearest the window centre.
 
-    Solves the tree nodes next to the centre and widens (one tree level up,
-    twice the reach) until they settle the nearest value; the root is the
-    whole search window (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN].  An upper
-    neighbour above every solved node is found by walking the following
-    same-depth nodes upwards to the first non-empty one; an empty node costs
-    LAPACK two Sturm counts.
+    From the leaf holding the centre, solves the next leaf on the side of the
+    nearer unsolved edge until the nearest value lies in [lo, hi] and nearer
+    than that edge, then leaves upward (downward from the top) to its
+    neighbour.  The root is the single leaf where a leaf might lie inside the
+    stopping width or ``stebz`` would split the matrix.
     """
     # Imported here: scipy.linalg is slow to import and only the grid solves need it.
     from scipy.linalg import eigvalsh_tridiagonal
-
-    def solve(node):
-        return eigvalsh_tridiagonal(diag, off, select="v", select_range=node)
 
     center = 0.5 * (lo + hi)
     too_wide = (
         f"energy window [{lo}, {hi}] is too wide to resolve levels around its centre {center}"
     )
-    bounds = _gershgorin(diag, off)
-    if not math.ulp(center) < bounds[1] - bounds[0]:
+    empty = f"no eigenvalue in [{lo}, {hi}] for box size {box}"
+    low, high = _stebz_interval(diag, off)
+    if not math.ulp(center) < high - low:
         # The floats at the centre are no finer than the whole spectrum, so
         # |value - centre| cannot tell the levels apart: refused before any solve.
         raise ValueError(too_wide)
-    root = (lo - _SCAN_MARGIN, hi + _SCAN_MARGIN)
-    depth = _start_depth(bounds, diag.size, root)
+    # Bounds the bisection's stopping width, with room for rounding.
+    slack = 8.0 * diag.size * sys.float_info.epsilon * max(abs(low), abs(high))
+    low, high = max(low, lo - _SCAN_MARGIN), min(high, hi + _SCAN_MARGIN)
+    if not low < high:
+        raise EmptyWindowError(empty)
+    # stebz's split test: each block it splits off is bisected over its own interval.
+    with np.errstate(over="ignore"):
+        splits = np.any(np.abs(diag[1:] * diag[:-1]) * 2.0**-104 + sys.float_info.min > off * off)
+    edges = [low, high]
+    if not splits and (high - low) / 2.0**_SCAN_DEPTH > slack:
+        for _ in range(_SCAN_DEPTH):
+            edges = [x for a, b in zip(edges, edges[1:]) for x in (a, 0.5 * (a + b))] + [high]
+    top = len(edges) - 1
+
+    def solve(leaf):
+        bounds = (edges[leaf], edges[leaf + 1])
+        return eigvalsh_tridiagonal(diag, off, select="v", select_range=bounds)
+
+    # Leaves first..last - 1 are solved; leaf k is (edges[k], edges[k + 1]].
+    first = sum(edge < center for edge in edges[1:-1])
+    last = first + 1
+    values = solve(first)
     while True:
-        nodes = _tree_nodes(root, center, depth)
-        values = np.concatenate([solve(node) for node in nodes])
-        if depth == 0:
-            if not np.any((values >= lo) & (values <= hi)):
-                raise EmptyWindowError(f"no eigenvalue in [{lo}, {hi}] for box size {box}")
+        below = center - edges[first] if first else math.inf
+        above = edges[last] - center if last < top else math.inf
+        inside = (values >= lo) & (values <= hi)
+        if not np.any(inside) and (first == 0 or edges[first] < lo) and (
+            last == top or edges[last] >= hi
+        ):
+            raise EmptyWindowError(empty)
+        settled = False
+        if values.size:
+            nearest = int(np.argmin(np.abs(values - center)))
+            settled = bool(inside[nearest]) and abs(values[nearest] - center) < min(below, above)
+            if settled and nearest + 1 < values.size:
+                return float(values[nearest]), float(values[nearest + 1] - values[nearest])
+            if settled and last == top and nearest > 0:
+                return float(values[nearest]), float(values[nearest] - values[nearest - 1])
+        if first == 0 and last == top:
             if values.size < 2:
                 raise EmptyWindowError(
                     f"no neighboring eigenvalue around the window for box size {box}"
                 )
-        if values.size:
-            nearest = int(np.argmin(np.abs(values - center)))
-            energy = float(values[nearest])
-            has_upper = nearest + 1 < values.size
-            reaches_top = nodes[-1][1] == root[1]
-            # Every unsolved value lies at least this far from the centre; a
-            # nearest value outside [lo, hi] leaves the empty check to the root.
-            clearance = min(
-                math.inf if nodes[0][0] == root[0] else center - nodes[0][0],
-                math.inf if reaches_top else nodes[-1][1] - center,
-            )
-            settled = lo <= energy <= hi and abs(energy - center) < clearance
-            if depth == 0 and not lo <= energy <= hi:
-                # Some value lies in [lo, hi], so the exact nearest one does
-                # too: this pick can only come from the centre absorbing
-                # every |value - centre|.
-                raise ValueError(too_wide)
-            if settled and not (has_upper or reaches_top):
-                for node in _nodes_above(root, depth, nodes[-1][1]):
-                    above = solve(node)
-                    if above.size:
-                        return energy, float(above[0] - values[nearest])
-                reaches_top = True
-            if depth == 0 or (settled and (has_upper or reaches_top and nearest > 0)):
-                if has_upper:
-                    return energy, float(values[nearest + 1] - values[nearest])
-                return energy, float(values[nearest] - values[nearest - 1])
-        depth -= 1
+            # Some value lies in [lo, hi], so the exact nearest one does too:
+            # this pick can only come from the centre absorbing every |value - centre|.
+            raise ValueError(too_wide)
+        if last < top and (settled or above <= below):
+            values = np.concatenate([values, solve(last)])
+            last += 1
+        else:
+            first -= 1
+            values = np.concatenate([solve(first), values])
 
 
 def stabilization_scan(
@@ -425,15 +387,11 @@ def stabilization_scan(
     1/sqrt(L); with F = 0 a bound level in the window converges as the box grows.
 
     The values are those of one value-mode bisection (LAPACK ``stebz``) over
-    (lo - 0.6, hi + 0.6], whose search window never sets where an interval is
-    split or where it stops, so a solve over one node of its bisection tree
-    returns the same floats there.  The nodes next to the centre are solved
-    first and settle the nearest value when no unsolved value can be nearer;
-    otherwise the search climbs one tree level, up to the whole window.  An
-    upper neighbour beyond the solved nodes is found by solving the following
-    nodes of the same depth one at a time, up to the first non-empty one (at
-    most 2**8 solves, most of them empty), instead of climbing.  Digits and
-    errors are those of the whole-window solve.
+    (lo - 0.6, hi + 0.6] clipped to the interval ``stebz`` bisects, whose
+    midpoints and stopping widths no window sets, so a solve over one depth-8
+    leaf of its tree returns the same floats there.  Leaves are solved one at
+    a time outward from the centre and on to the neighbour, at most 2**8 per
+    box.  Digits and errors are those of the whole-window solve.
     """
     sizes = [float(b) for b in box_sizes]
     if len(sizes) < 3:

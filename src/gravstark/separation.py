@@ -60,6 +60,15 @@ class SeparatedHamiltonian(NamedTuple):
     coulomb_present: bool
 
 
+def _grav_total(model: MassModel, plain_sum: float) -> tuple[float, int]:
+    """Mbar as (value, binary exponent): the plain sum ``plain_sum``, or half of
+    it with the exponent carried where that sum overflows although Mbar g or
+    M / Mbar need not."""
+    if math.isinf(plain_sum):
+        return 0.5 * model.mbar_e + 0.5 * model.mbar_p, 1
+    return plain_sum, 0
+
+
 def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamiltonian:
     """Coefficient set of the separated equations for ``model`` in ``field``.
 
@@ -68,9 +77,10 @@ def separate_gravitational(model: MassModel, field: FieldSpec) -> SeparatedHamil
     """
     comp = derive_composites(model)
     g = field.magnitude
+    mbar, power = _grav_total(model, comp.grav_total_mass)
     return SeparatedHamiltonian(
         cm_kinetic_mass=comp.total_mass,
-        cm_coupling=representable("cm_coupling", comp.grav_total_mass * g, comp.grav_total_mass, g),
+        cm_coupling=representable("cm_coupling", mbar * g, mbar, g, exponent=power),
         internal_kinetic_mass=comp.reduced_mass,
         internal_coupling=representable(
             "internal_coupling", comp.mass_asymmetry * g, comp.mass_asymmetry, g
@@ -97,8 +107,9 @@ def frame_discrepancy(model: MassModel, magnitude: float) -> FrameDiscrepancy:
     comp = derive_composites(model)
     if comp.grav_total_mass == 0.0:
         raise UndefinedRatioError("total gravitational mass is zero; ratio undefined")
+    mbar, power = _grav_total(model, comp.grav_total_mass)
     return FrameDiscrepancy(
-        cm_mass_ratio=representable("cm_mass_ratio", comp.total_mass / comp.grav_total_mass),
+        cm_mass_ratio=representable("cm_mass_ratio", comp.total_mass / mbar, exponent=-power),
         internal_coupling_difference=representable(
             "internal_coupling_difference",
             abs(comp.mass_asymmetry) * magnitude,

@@ -369,6 +369,36 @@ def test_unusable_frame_diff_exits_2_or_3(flags, code, capsys):
     assert captured.err.count("\n") == 1
 
 
+_HUGE_MBAR = ["--mbar-e", "1e308", "--mbar-p", "1e308"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, exact, roundings",
+    [
+        # Mbar g = 2e298: the sum and the product round.
+        (["separate", *_HUGE_MBAR, "--g", "1e-10"], "cm_coupling_N",
+         2 * Fraction(1e308) * Fraction(1e-10), 2),
+        # M / Mbar = 5e-9: M, Mbar and the quotient round.
+        (["frame-diff", "--m-e", "1e300", *_HUGE_MBAR, "--a-magnitude", "1"], "cm_mass_ratio",
+         (Fraction(1e300) + Fraction(codata_defaults().m_p_ref)) / (2 * Fraction(1e308)), 3),
+    ],
+    ids=["separate", "frame-diff"],
+)
+def test_overflowing_mbar_sum_prints_its_normal_results(argv, key, exact, roundings, capsys):
+    # mbar_e + mbar_p overflows a float, but the results built from it do not.
+    assert run([*argv, "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)[key]
+    assert abs(Fraction(value) - exact) <= roundings * (1 + 2.0**-49) * math.ulp(float(exact))
+
+
+def test_overflowing_coupling_difference_still_exits_3(capsys):
+    # |A| a = 1e308 * 9.8 really overflows, with or without Mbar carried.
+    assert run(["frame-diff", "--m-e", "1e300", *_HUGE_MBAR, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: internal_coupling_difference is inf")
+
+
 @pytest.mark.parametrize(
     "flags", [["--spacing", "0"], ["--spacing=-0.01"], ["--r-max", "inf"], ["--spacing", "1e-320"]]
 )
@@ -736,7 +766,7 @@ _STABILITY = st.builds(
         "--boxes=" + ",".join(repr(count * spacing) for count in sorted(counts)),
         f"--f-atomic={force!r}", "--window", repr(window[0]), repr(window[1]),
     ],
-    st.one_of(st.floats(0.02, 0.2), _decades(-330.0, 2.0), _SPECIAL),
+    st.one_of(st.floats(0.02, 1.0), _decades(-330.0, 2.0), _SPECIAL),
     st.lists(st.integers(1, 20_000), min_size=3, max_size=3, unique=True),
     st.one_of(st.just(0.0), _decades(-12.0, 308.3), _SPECIAL),
     st.one_of(
@@ -756,6 +786,40 @@ _FRAME_CHECK = st.builds(
 )
 
 
+def _assert_scan_solves_leaves(calls, argv):
+    """Each box of a ``stability`` scan takes at most 2**8 solves, none wider
+    than a depth-8 leaf of its search range clipped to the interval LAPACK
+    bisects, except a single solve of that whole range where a leaf could lie
+    inside the bisection's stopping width or ``stebz`` splits the matrix."""
+    import numpy as np
+
+    from gravstark import oracle
+
+    lo, hi = -0.02, 0.02
+    if "--window" in argv:
+        at = argv.index("--window")
+        lo, hi = float(argv[at + 1]), float(argv[at + 2])
+    boxes: dict = {}
+    for call in calls:
+        diag, off = call.args
+        boxes.setdefault(diag.size, (diag, off, []))[2].append(call.kwargs["select_range"])
+    for diag, off, ranges in boxes.values():
+        assert len(ranges) <= 2**8, (argv, len(ranges))
+        low, high = oracle._stebz_interval(diag, off)
+        root = (max(low, lo - 0.6), min(high, hi + 0.6))
+        leaf = (root[1] - root[0]) / 2**8
+        if ranges == [root]:
+            with np.errstate(over="ignore"):
+                splits = np.any(
+                    np.abs(diag[1:] * diag[:-1]) * 2.0**-104 + sys.float_info.min > off * off
+                )
+            norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
+            assert splits or not leaf > 16 * diag.size * sys.float_info.epsilon * norm, argv
+            continue
+        slack = 4.0 * math.ulp(max(map(abs, root)))
+        assert all(b - a <= leaf * (1.0 + 1e-9) + slack for a, b in ranges), (argv, root)
+
+
 @settings(max_examples=40)
 # Coefficients that overflow: 1/h^2 at h = 1e-170 and 1e-160, F L at F = 1e308.
 @example(argv=["spectrum", "--spacing", "1e-170", "--r-max", "1e-167"], output_format="csv")
@@ -768,6 +832,11 @@ _FRAME_CHECK = st.builds(
     output_format="json",
 )
 @example(argv=["stability", "--f-atomic", "1e308"], output_format="csv")
+# A coarse grid, whose search range reaches below the spectrum's Gershgorin bound.
+@example(
+    argv=["stability", "--spacing=1.0", "--boxes=39.0,400.0,800.0", "--f-atomic=0.0"],
+    output_format="csv",
+)
 # A window whose centre, 5e299, no level can be resolved against.
 @example(argv=["stability", *_TOO_WIDE_WINDOWS["whole-spectrum"]], output_format="csv")
 # A negative time is refused before either path is built.
@@ -779,15 +848,21 @@ _FRAME_CHECK = st.builds(
 def test_array_commands_print_finite_numbers_or_exit_2_or_3(argv, output_format):
     from unittest import mock
 
+    import scipy.linalg
+
     from gravstark import frames
 
     out, err = io.StringIO(), io.StringIO()
+    solve = scipy.linalg.eigvalsh_tridiagonal
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(frames, "propagate", wraps=frames.propagate) as stepped:
+            mock.patch.object(frames, "propagate", wraps=frames.propagate) as stepped, \
+            mock.patch.object(scipy.linalg, "eigvalsh_tridiagonal", wraps=solve) as solved:
         warnings.simplefilter("always")
         code = run([*argv, "--format", output_format])
     out, err = out.getvalue(), err.getvalue()
+    if argv[0] == "stability":
+        _assert_scan_solves_leaves(solved.call_args_list, argv)
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err
     assert "Warning" not in err and not caught, (argv, [str(w.message) for w in caught])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -476,6 +477,15 @@ def _scan_cases(draw):
 @example(boxes=[30.0, 31.0, 32.0], case=(0.0, (799.6, 799.9)), spacing=0.05)
 # The benchmark's F = 0 window on n = 1: the upper neighbour lies 0.375 above.
 @example(boxes=[150.0, 300.0, 600.0], case=(0.0, (-0.575, -0.425)), spacing=0.04)
+# A coarse grid: the Gershgorin interval starts near -0.5, above lo - 0.6.
+@example(boxes=[39.0, 400.0, 800.0], case=(0.0, (-0.02, 0.02)), spacing=1.0)
+# The search range reaches below the spectrum's Gershgorin low end.
+@example(boxes=[60.0, 120.0, 240.0], case=(0.0, (-10.5, -9.5)), spacing=0.05)
+# F x = 1e16 makes stebz split the matrix into blocks, each bisected on its own.
+@example(
+    boxes=[10.0, 20.0, 40.0], case=(1e16, (-2.1499999999999996e16, -8499999999999996.0)),
+    spacing=0.5,
+)
 def test_scan_is_bit_identical_to_whole_window_solve(boxes, case, spacing):
     force, window = case
     assert _scan_outcome(boxes, force, window, spacing) == _full_window_scan(
@@ -491,40 +501,48 @@ def test_last_level_example_uses_the_lower_neighbour():
         assert int(np.argmin(np.abs(values - 39.2))) == values.size - 1
 
 
-def test_scan_never_solves_the_whole_window(monkeypatch):
+def _spy_solves(monkeypatch) -> list:
+    """(matrix size, select_range) of every later ``eigvalsh_tridiagonal`` call."""
     import scipy.linalg
 
     solve = scipy.linalg.eigvalsh_tridiagonal
-    ranges = []
+    solves = []
 
-    def spy(*args, select_range, **kwargs):
-        ranges.append(select_range)
-        return solve(*args, select_range=select_range, **kwargs)
+    def spy(diag, *args, select_range, **kwargs):
+        solves.append((diag.size, select_range))
+        return solve(diag, *args, select_range=select_range, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    return solves
+
+
+def test_scan_never_solves_the_whole_window(monkeypatch):
+    solves = _spy_solves(monkeypatch)
     points = stabilization_scan([200.0, 400.0, 800.0], 1e-3, (-0.02, 0.02), spacing=0.04)
     assert len(points) == 3
-    assert ranges
-    assert (-0.02 - 0.6, 0.02 + 0.6) not in ranges
-    assert max(hi - lo for lo, hi in ranges) < 1.24 / 2
+    assert solves
+    assert (-0.02 - 0.6, 0.02 + 0.6) not in [bounds for _, bounds in solves]
+    assert max(hi - lo for _, (lo, hi) in solves) < 1.24 / 2
+
+
+def test_coarse_grid_scan_solves_only_leaves(monkeypatch):
+    # At spacing 1 the search range (-0.62, 0.62] reaches below the spectrum;
+    # its leaves are those of the range clipped to what LAPACK bisects.
+    solves = _spy_solves(monkeypatch)
+    points = stabilization_scan([39.0, 400.0, 800.0], 0.0, (-0.02, 0.02), spacing=1.0)
+    assert len(points) == 3
+    per_box = Counter(size for size, _ in solves)
+    assert len(per_box) == 3 and max(per_box.values()) <= 2**8
+    assert max(hi - lo for _, (lo, hi) in solves) <= 1.24 / 2**8
 
 
 def test_upper_neighbour_is_found_without_leaving_the_leaves(monkeypatch):
     # The n = 1 level's neighbour lies 0.375 Hartree above the centre, beyond
     # every tree node short of the root; the scan walks depth-8 leaves to it.
-    import scipy.linalg
-
-    solve = scipy.linalg.eigvalsh_tridiagonal
-    ranges = []
-
-    def spy(*args, select_range, **kwargs):
-        ranges.append(select_range)
-        return solve(*args, select_range=select_range, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    solves = _spy_solves(monkeypatch)
     points = stabilization_scan([150.0, 300.0, 600.0], 0.0, (-0.575, -0.425), spacing=0.04)
     assert all(p.level_spacing > 0.37 for p in points)
     leaf = (-0.425 + 0.6 - (-0.575 - 0.6)) / 2**8
-    assert max(hi - lo for lo, hi in ranges) <= leaf * (1.0 + 1e-12)
+    assert max(hi - lo for _, (lo, hi) in solves) <= leaf * (1.0 + 1e-12)
     # leaves up to the one holding -1/8, and no further
-    assert max(hi for _, hi in ranges) < -0.12 + leaf
+    assert max(hi for _, (_, hi) in solves) < -0.12 + leaf

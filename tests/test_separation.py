@@ -100,14 +100,22 @@ def _decades(lo: float, hi: float):
 def _configurations(draw):
     """(m_e, m_p, mbar_e, mbar_p, g): inertial masses over 120 decades each;
     gravitational masses zero, negative, cancelling in Mbar, equal to the
-    inertial ones, or nearly cancelling in A; g zero or over 120 decades."""
+    inertial ones, nearly cancelling in A, or near 1e308 with a sum that
+    overflows a float; g zero or over 120 decades."""
     m_e, m_p = draw(_decades(-60.0, 60.0)), draw(_decades(-60.0, 60.0))
     signed = st.tuples(st.sampled_from([1.0, -1.0]), _decades(-60.0, 60.0)).map(
         lambda pair: pair[0] * pair[1]
     )
     ratio = st.floats(-3.0, 3.0).filter(lambda r: r == 0.0 or abs(r) >= 1e-6)
     mbar_e = draw(st.one_of(st.just(0.0), signed, ratio.map(lambda r: r * m_e)))
-    kind = draw(st.sampled_from(["free", "zero", "cancel-mbar", "equivalent", "cancel-a"]))
+    kind = draw(
+        st.sampled_from(["free", "zero", "cancel-mbar", "equivalent", "cancel-a", "huge-mbar"])
+    )
+    if kind == "huge-mbar":
+        # mbar_e + mbar_p overflows, while Mbar g, A g and M / Mbar (M >= 10) are normal.
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        mbar_e, mbar_p = (sign * draw(_decades(307.96, 308.25)) for _ in "ep")
+        return draw(_decades(1.0, 300.0)), m_p, mbar_e, mbar_p, draw(_decades(-60.0, -1.0))
     if kind == "free":
         mbar_p = draw(signed)
     elif kind == "zero":
@@ -126,6 +134,10 @@ def _configurations(draw):
 # A mass ratio whose three roundings (M, Mbar, the quotient) all err upward:
 # 2.4995 ulps, so no two-ulp bound holds for M / Mbar.
 _RATIO_BEYOND_TWO_ULPS = (1.0, 0.00012664844515997142, 1.0, 0.0001266484473522178, 1.0)
+# Mbar = 2e308 overflows a float; the exact Mbar g is 2e298 and M / Mbar is 5e-9.
+_CODATA_INERTIAL = (9.1093837015e-31, 1.67262192369e-27)
+_HUGE_MBAR_COUPLING = (*_CODATA_INERTIAL, 1e308, 1e308, 1e-10)
+_HUGE_MBAR_RATIO = (1e300, _CODATA_INERTIAL[1], 1e308, 1e308, 1.0)
 
 
 @given(config=_configurations())
@@ -150,6 +162,7 @@ def test_separation_identity_is_exact(config):
 
 @given(config=_configurations())
 @example(config=_RATIO_BEYOND_TWO_ULPS)
+@example(config=_HUGE_MBAR_COUPLING)
 def test_separate_gravitational_is_within_its_roundings(config):
     m_e, m_p, mbar_e, mbar_p, g = config
     exact = _Exact(*config)
@@ -173,6 +186,7 @@ def test_separate_gravitational_is_within_its_roundings(config):
 
 @given(config=_configurations())
 @example(config=_RATIO_BEYOND_TWO_ULPS)
+@example(config=_HUGE_MBAR_RATIO)
 def test_frame_discrepancy_is_within_its_roundings(config):
     m_e, m_p, mbar_e, mbar_p, a = config
     exact = _Exact(*config)
