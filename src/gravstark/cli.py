@@ -21,7 +21,7 @@ import sys
 from typing import IO
 
 from .constants import atomic_scale, codata_defaults
-from .errors import EigensolverError, GravstarkError, representable
+from .errors import GravstarkError, representable
 from .ionization import compare_lifetimes
 from .masses import MassModel, derive_composites, model_with_asymmetry
 from .parabolic import degenerate_pt, evaluate_levels, splitting_table
@@ -201,26 +201,21 @@ def _cmd_split(args: argparse.Namespace, sink: IO[str]) -> int:
     ]
     if not args.no_oracle:
         oracle = degenerate_pt(args.n, comp, field, consts)
-        for row, shift in zip(rows, _match_oracle(rows, oracle, table.spacing)):
+        for row, shift in zip(rows, _match_oracle(rows, oracle)):
             row["shift_oracle_J"] = shift
     emit_table(rows, args.format, sink)
     return EXIT_OK
 
 
-def _match_oracle(rows, oracle, spacing: float) -> list[float]:
+def _match_oracle(rows, oracle) -> list[float]:
     """Align oracle (shift, multiplicity) groups with the analytic sublevels."""
+    if len(oracle) != len(rows):
+        # Zero coupling: a single oracle group covers every sublevel.
+        return [oracle[0][0]] * len(rows)
     analytic_order = sorted(range(len(rows)), key=lambda i: rows[i]["shift_J"])
-    expanded = [shift for shift, _ in oracle]
     out = [0.0] * len(rows)
-    if len(expanded) != len(rows):
-        if spacing != 0.0:
-            raise EigensolverError(f"oracle found {len(expanded)} shifts for {len(rows)} sublevels")
-        # Zero-field degeneracy: a single oracle group covers every sublevel.
-        for i in analytic_order:
-            out[i] = expanded[0] if expanded else 0.0
-        return out
-    for position, row_index in enumerate(analytic_order):
-        out[row_index] = expanded[position]
+    for (shift, _), row_index in zip(oracle, analytic_order):
+        out[row_index] = shift
     return out
 
 
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="sublevel table, closed form and oracle side by side")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--no-oracle", action="store_true", help="skip the dense diagonalization")
+    p.add_argument("--no-oracle", action="store_true", help="skip the exact manifold oracle")
     p.add_argument(
         "--per-state",
         action="store_true",

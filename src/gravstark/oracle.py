@@ -12,16 +12,10 @@ sits one spacing away from the origin, so the left Dirichlet ghost node lies
 exactly at r = 0.  Quoted energies are Richardson extrapolated over spacings
 h and h/2.
 
-The n-manifold's first-order splitting is the spectrum of -A g z within the
-manifold, and the closed form emerges from diagonalizing it instead of being
-assumed.  ``_manifold_spectrum(n)`` returns the spectrum of z in Bohr radii;
-``parabolic.degenerate_pt`` scales it to joules.  Its radial states come from
-a Laguerre basis t^(l+1) e^(-t/2) p_k(t), t = 2r/nu, whose scale nu = 1.237 n
-deliberately differs from the states' own decay length n (Rotenberg 1962;
-Baye 2015), by Cholesky reduction and a symmetric eigensolve; the radial
-dipoles <n l|r|n l+1> follow by Gauss quadrature, and z splits into one
-tridiagonal block of size n - |m| per m.  That numpy-only route covers every
-n up to 50, and its spectrum is memoized per n.
+The n-manifold's first-order splitting is not solved here: every input to
+it is rational, so ``parabolic.degenerate_pt`` builds the spectrum of z in
+exact arithmetic without numpy.  This module keeps the routes that need
+floating-point grids.
 
 ``stabilization_scan`` diagnoses bound versus continuum character by
 diagonalizing a half-axis model with a hard wall at increasing box sizes:
@@ -40,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,27 +48,27 @@ __all__ = [
 
 RESIDUAL_CERTIFICATE = 1e-10   # per eigenpair, relative to a norm bound of H
 DISCRETIZATION_GATE = 1e-5     # Hartree, estimated truncation error per level
-GROUPING_REL_TOL = 1e-10       # relative tolerance for merging equal shifts
-LEVEL_GATE = 1e-12             # relative error allowed on -1/(2 n^2) of a basis state
-_BASIS_SCALE = 1.237           # Laguerre scale nu over n: unmatched to the states' decay
-_BASIS_MARGIN = 40             # basis functions beyond the n - l of the wanted state
 _SCAN_MARGIN = 0.6             # Hartree searched beyond each side of a scan window
 _SCAN_DEPTH = 8                # bisection-tree depth of the leaves a scan solves
 
 
 def _check_coefficients(spacing: float, l: int, wall_force: float) -> None:
-    """Raise ``ValueError`` unless a grid Hamiltonian's Gershgorin bound is a finite float.
+    """Raise ``ValueError`` unless a grid Hamiltonian's Gershgorin bound and its
+    squared off-diagonal are finite floats.
 
     The bound 2/h^2 + l(l+1)/(2h^2) + 1/h + F L holds the kinetic diagonal and
     its two neighbours, the centrifugal and Coulomb terms at the first point
     and the field ``wall_force`` = F L at the far wall, so every entry and
-    every Gershgorin end point built from them is finite too.
+    every Gershgorin end point built from them is finite too.  The square
+    (0.5/h^2)^2 sets the pivot floor of LAPACK's bisection, which cannot run
+    once it overflows.
     """
     try:
         bound = (2.0 + l * (l + 1) / 2.0) / spacing**2 + 1.0 / spacing + wall_force
+        square = (0.5 / spacing**2) ** 2
     except (OverflowError, ZeroDivisionError):
-        bound = math.inf
-    if not math.isfinite(bound):
+        bound = square = math.inf
+    if not (math.isfinite(bound) and math.isfinite(square)):
         raise ValueError(
             f"grid coefficients overflow a float at spacing {spacing}, l = {l} "
             f"and far-wall force {wall_force}"
@@ -161,120 +154,6 @@ def radial_eigensolve(spacing: float, r_max: float, l: int, count: int) -> list[
                 "increase r_max"
             )
     return [float(e) for e in (4.0 * fine - coarse) / 3.0]
-
-
-def _angular_z_factor(l_low: int, m: int) -> float:
-    """<l_low + 1, m | cos(theta) | l_low, m> for spherical harmonics."""
-    l_up = l_low + 1
-    return math.sqrt((l_up**2 - m**2) / ((2.0 * l_low + 1.0) * (2.0 * l_low + 3.0)))
-
-
-def _laguerre(alpha: float, size: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal generalized Laguerre polynomials of degree < ``size`` at t,
-    times sqrt(Gamma(alpha + 1)) so that degree 0 is 1, and their t-derivatives.
-
-    Row k holds degree k, from the three-term recurrence of the Jacobi matrix.
-    """
-    values = np.zeros((size, t.size))
-    slopes = np.zeros((size, t.size))
-    values[0] = 1.0
-    for k in range(size - 1):   # at k = 0, row -1 is still all zeros
-        below = math.sqrt(k * (k + alpha))
-        above = math.sqrt((k + 1) * (k + 1 + alpha))
-        shifted = t - (2.0 * k + alpha + 1.0)
-        values[k + 1] = (shifted * values[k] - below * values[k - 1]) / above
-        slopes[k + 1] = (values[k] + shifted * slopes[k] - below * slopes[k - 1]) / above
-    return values, slopes
-
-
-def _radial_channel(n: int, l: int, nu: float):
-    """The radial state (n, l) in a Laguerre basis of scale ``nu``.
-
-    u(r) = sqrt(2/nu) t^(l+1) e^(-t/2) sum_k c_k p_k(t), t = 2r/nu, with p_k
-    orthonormal for the weight t^(2l+2) e^-t.  Every matrix element is a
-    polynomial against t^(2l) e^-t, integrated exactly by that weight's Gauss
-    rule with one node more than the basis.  The (n - l)-th lowest Ritz pair
-    is kept and certified against -1/(2 n^2).
-
-    Returns (c, t, rule, basis) with the nodes t_j, rule[k, j] =
-    sqrt(w_j) p_k^(2l)(t_j) and basis[k, j] = sqrt(w_j) p_k(t_j).  The
-    Christoffel numbers w_j = 1 / sum_k p_k^(2l)(t_j)^2 span hundreds of
-    decades, so w_j is never formed alone.
-    """
-    size = n - l + _BASIS_MARGIN
-    alpha = 2.0 * l
-    k = np.arange(size + 1)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    t = np.linalg.eigvalsh(jacobi)   # Golub & Welsch: the nodes are its eigenvalues
-    rule, _ = _laguerre(alpha, size + 1, t)
-    root_sum = np.sqrt(np.sum(rule * rule, axis=0))
-    rule /= root_sum
-    basis, slopes = _laguerre(alpha + 2.0, size, t)
-    scale = root_sum * math.sqrt((alpha + 1.0) * (alpha + 2.0))
-    basis, slopes = basis / scale, slopes / scale
-    # d/dt [t^(l+1) e^(-t/2) p] = t^l e^(-t/2) [(l + 1 - t/2) p + t p']
-    grad = (l + 1.0 - 0.5 * t) * basis + t * slopes
-    overlap = (basis * t * t) @ basis.T
-    # nu^2/2 times the Hamiltonian: kinetic, centrifugal and Coulomb terms
-    hamiltonian = grad @ grad.T + l * (l + 1.0) * (basis @ basis.T) - nu * ((basis * t) @ basis.T)
-    lower = np.linalg.cholesky(overlap)
-    reduced = np.linalg.solve(lower, np.linalg.solve(lower, hamiltonian).T)
-    values, vectors = np.linalg.eigh(reduced)
-    index = n - l - 1
-    error = abs(values[index] * (2.0 * n / nu) ** 2 + 1.0)
-    if error > LEVEL_GATE:
-        raise EigensolverError(
-            f"Laguerre basis resolves level n = {n}, l = {l} only to {error:.2e} relative"
-        )
-    return np.linalg.solve(lower.T, vectors[:, index]), t, rule, basis
-
-
-def _radial_dipoles(n: int) -> list[float]:
-    """<n l| r |n l+1> in Bohr radii for l = 0 .. n-2, by Gauss quadrature.
-
-    u_l u_(l+1) r dr = (nu/2) t^(2l+4) e^-t f_l f_(l+1) dt: on the upper
-    channel's rule (weight t^(2l+2) e^-t) f_l lies in the rule's own family,
-    and the lower basis has as many functions as that rule has nodes, so the
-    degree-(2 size - 1) integrand is integrated exactly.
-    """
-    nu = _BASIS_SCALE * n
-    channels = [_radial_channel(n, l, nu) for l in range(n)]
-    dipoles = []
-    for (low, *_), (up, t, rule, basis) in zip(channels, channels[1:]):
-        dipoles.append(0.5 * nu * float(np.sum(t * t * (low @ rule) * (up @ basis))))
-    return dipoles
-
-
-@lru_cache(maxsize=None)
-def _manifold_spectrum(n: int) -> tuple[tuple[float, int], ...]:
-    """Distinct eigenvalues of z within the n-manifold, in Bohr radii, ascending,
-    with multiplicities.
-
-    z couples l to l +- 1 at fixed m, so the n^2 states split into one
-    tridiagonal block of size n - |m| per m, and blocks m and -m coincide.
-    Memoized: the spectrum depends on n alone, never on the masses or the
-    field.
-    """
-    dipoles = _radial_dipoles(n)
-    values: list[float] = []
-    for m in range(n):
-        off = np.array([dipoles[l] * _angular_z_factor(l, m) for l in range(m, n - 1)])
-        block = np.diag(off, 1) + np.diag(off, -1)
-        values += list(np.linalg.eigvalsh(block)) * (1 if m == 0 else 2)
-    ordered = np.sort(values)
-    # A tridiagonal block with zero diagonal has a spectrum symmetric about 0,
-    # so each value pairs with its mirror image; averaging the pair makes the
-    # k = 0 group exactly 0 and the groups exact negatives of each other.
-    ordered = 0.5 * (ordered - ordered[::-1])
-    tol = GROUPING_REL_TOL * float(ordered[-1])
-    groups = []
-    start = 0
-    for i in range(1, len(ordered) + 1):
-        if i == len(ordered) or ordered[i] - ordered[i - 1] > tol:
-            groups.append((math.fsum(ordered[start:i]) / (i - start), i - start))
-            start = i
-    return tuple(groups)
 
 
 class ScanPoint(NamedTuple):

@@ -10,9 +10,10 @@ i.e. 2n - 1 equally spaced sublevels with spacing proportional to n |A| g,
 the sublevel at k carrying n - |k| states.
 
 ``degenerate_pt`` gives the same shifts from the spectrum of z within the
-n-manifold, which ``oracle`` diagonalizes in atomic units; the joule scale
-of both routes lives here.  It loads the oracle, and numpy with it, only
-when neither parity (n = 1) nor a zero coupling already fixes the shifts.
+spherical n-manifold, which ``_spherical`` builds in exact rationals with
+the standard library alone; the joule scale of both routes lives here.  It
+loads that module only when neither parity (n = 1) nor a zero coupling
+already fixes the shifts.
 """
 
 from __future__ import annotations
@@ -143,13 +144,13 @@ def degenerate_pt(
     -A g z within the n-manifold.
 
     The eigenvalues lambda of z (Bohr radii) come from
-    ``oracle._manifold_spectrum``, memoized per n, so a repeat n runs no basis
-    build, quadrature or eigensolve, whatever the masses and the field.  Each
-    call scales them to joules as -(A g a_mu) lambda, with a_mu = hbar /
+    ``_spherical.manifold_spectrum``, built exactly and memoized per n, so a
+    repeat n builds nothing, whatever the masses and the field.  Each call
+    scales them to joules as -(A g a_mu) lambda, with a_mu = hbar /
     (mu alpha c) carried as mantissa and exponent, and each shift must be a
     normal float (else ``UnrepresentableError``).  Returned shifts ascend; at
     n = 1 (zero by parity) and at zero coupling the result is ``[(0.0, n^2)]``
-    and no oracle or numpy is loaded.
+    and nothing is built.
     """
     if not 1 <= n <= MAX_PRINCIPAL:
         raise ValueError(f"principal quantum number must be in 1..{MAX_PRINCIPAL}")
@@ -161,11 +162,11 @@ def degenerate_pt(
     )
     if n == 1 or mantissa == 0.0:
         return [(0.0, n * n)]
-    # Imported here: the oracle loads numpy, which the exit above never needs.
-    from .oracle import _manifold_spectrum
+    # Imported here: only calls that build a manifold compile and load it.
+    from ._spherical import manifold_spectrum
 
     shifts = [
         (representable(f"oracle shift at n = {n}", mantissa * value, value, exponent=exponent), count)
-        for value, count in _manifold_spectrum(n)
+        for value, count in manifold_spectrum(n)
     ]
     return shifts if mantissa > 0.0 else shifts[::-1]

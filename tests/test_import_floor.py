@@ -20,8 +20,7 @@ import gravstark
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Subcommands that must finish without loading any scipy module;
-# `lifetime` evaluates its barrier integral in closed form, and the `split`
-# oracle builds its Laguerre basis with numpy alone at every n.
+# `lifetime` evaluates its barrier integral in closed form.
 SCIPY_FREE_COMMANDS = {
     "constants": ["constants"],
     "separate": ["separate", "--mbar-e-ratio", "1.1"],
@@ -30,13 +29,11 @@ SCIPY_FREE_COMMANDS = {
     "lifetime-stable": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "0"],
     "lifetime": ["lifetime", "--mbar-e-ratio", "1.1", "--g", "9.8"],
     "split-n1": ["split", "--n", "1", "--mbar-e-ratio", "1.1", "--g", "9.8"],
-    "split-n2": ["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"],
-    "split-n4": ["split", "--n", "4", "--mbar-e-ratio", "1.1", "--g", "9.8"],
 }
 
 # Subcommands that do scalar arithmetic only and must load neither numpy nor scipy;
-# the `split` oracle column needs no diagonalization where parity (n = 1) or a
-# zero coupling fixes every shift.
+# the `split` oracle column is built in exact rationals at every n, and needs no
+# build at all where parity (n = 1) or a zero coupling fixes every shift.
 NUMPY_FREE_COMMANDS = {
     "constants": ["constants"],
     "separate": ["separate", "--mbar-e-ratio", "1.1"],
@@ -47,6 +44,9 @@ NUMPY_FREE_COMMANDS = {
     "split-per-state": ["split", "--n", "3", "--mbar-e-ratio", "1.1", "--per-state"],
     "split-n1": ["split", "--n", "1", "--mbar-e-ratio", "1.1"],
     "split-zero-coupling": ["split", "--n", "3", "--g", "0"],
+    "split-n2": ["split", "--n", "2", "--mbar-e-ratio", "1.1", "--g", "9.8"],
+    "split-n4": ["split", "--n", "4", "--mbar-e-ratio", "1.1", "--g", "9.8"],
+    "split-n50": ["split", "--n", "50", "--mbar-e-ratio", "1.1"],
 }
 
 PROBE = """

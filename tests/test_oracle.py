@@ -1,23 +1,18 @@
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from gravstark import oracle
+from gravstark import _spherical
 from gravstark.errors import EigensolverError, EmptyWindowError, GridResolutionError
 from gravstark.masses import CompositeMasses, MassModel, derive_composites
-from gravstark.oracle import (
-    _angular_z_factor,
-    _manifold_spectrum,
-    _radial_dipoles,
-    _solve_radial,
-    radial_eigensolve,
-    stabilization_scan,
-)
+from gravstark._spherical import manifold_spectrum, radial_polynomial, squared_dipoles
+from gravstark.oracle import _solve_radial, radial_eigensolve, stabilization_scan
 from gravstark.parabolic import degenerate_pt, evaluate_levels, splitting_table
 from gravstark.separation import FieldSpec
 
@@ -169,31 +164,65 @@ def test_quad_oracle_value():
 
 
 def test_2s_2p_element_magnitude():
-    # The manifold's l = 0 -> 1 radial dipole times the m = 0 angular factor.
-    # An eigenvector's sign is arbitrary, and the spectrum of a zero-diagonal
+    # The manifold's exact l = 0 -> 1 squared radial dipole times the m = 0
+    # squared angular factor 1/3.  The spectrum of a zero-diagonal
     # tridiagonal block depends on the squares of its entries only.
-    element = _radial_dipoles(2)[0] * _angular_z_factor(0, 0)
-    assert abs(element) == pytest.approx(abs(quad_oracle_2s_2p()), abs=1e-12)
+    squared = Fraction(*squared_dipoles(2)[0]) * Fraction(1, 3)
+    assert squared == 9
+    assert quad_oracle_2s_2p() ** 2 == pytest.approx(float(squared), abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [3, 7, 50])
+@pytest.mark.parametrize("n", range(2, 51))
 def test_radial_dipoles_match_the_hydrogen_closed_form(n):
-    # <n l|r|n l+1> = (3/2) n sqrt(n^2 - (l+1)^2) (Bethe & Salpeter, eq. 63.2)
-    dipoles = _radial_dipoles(n)
-    assert len(dipoles) == n - 1
-    for l, value in enumerate(dipoles):
-        exact = 1.5 * n * math.sqrt(n * n - (l + 1) ** 2)
-        assert abs(abs(value) - exact) <= 1e-12 * 1.5 * n * n
+    # <n l|r|n l+1>^2 = (9/4) n^2 (n^2 - (l+1)^2) (Bethe & Salpeter, eq. 63.2),
+    # exactly; the build never uses this identity.
+    dipoles = [Fraction(*ratio) for ratio in squared_dipoles(n)]
+    assert dipoles == [Fraction(9, 4) * n * n * (n * n - (l + 1) ** 2) for l in range(n - 1)]
+
+
+def _derivative(poly: list) -> list:
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_radial_polynomials_solve_the_radial_equation(n):
+    # u = f(s) e^(-s/2) with f = s^(l+1) P(s) and s = 2r/n turns
+    # -u''/2 + [l(l+1)/(2r^2) - 1/r] u = E u into the polynomial identity
+    # s^2 f'' - s^2 f' + (1/4 + n^2 E/2) s^2 f - l(l+1) f + n s f = 0,
+    # which must hold exactly at E = -1/(2 n^2).
+    energy = Fraction(-1, 2 * n * n)
+    for l in range(n):
+        f = [0] * (l + 1) + radial_polynomial(n, l)
+        f1 = _derivative(f)
+        f2 = _derivative(f1)
+        residual = [Fraction(0)] * (len(f) + 2)
+        for i, c in enumerate(f2):
+            residual[i + 2] += c
+        for i, c in enumerate(f1):
+            residual[i + 2] -= c
+        for i, c in enumerate(f):
+            residual[i + 2] += (Fraction(1, 4) + n * n * energy / 2) * c
+            residual[i] -= l * (l + 1) * c
+            residual[i + 1] += n * c
+        assert residual == [0] * len(residual), (n, l)
 
 
 @pytest.mark.parametrize("n", [2, 5, 50])
 def test_manifold_spectrum_is_exactly_symmetric(n):
     # z is odd under parity: the groups pair off as exact negatives around an
     # exact zero, and their multiplicities fill the n^2 states.
-    groups = _manifold_spectrum(n)
+    groups = manifold_spectrum(n)
     assert [value for value, _ in groups] == [-value for value, _ in reversed(groups)]
     assert groups[n - 1][0] == 0.0
     assert sum(count for _, count in groups) == n * n
+
+
+def test_manifold_spectrum_is_the_stark_pattern_for_every_n():
+    # The 2n - 1 splitting as a theorem for each accepted n: the exact build
+    # finds the eigenvalues 3nk/2 of z with multiplicities n - |k|.
+    manifold_spectrum.cache_clear()
+    for n in range(1, 51):
+        assert manifold_spectrum(n) == tuple((1.5 * n * k, n - abs(k)) for k in range(1 - n, n))
 
 
 # --- manifold diagonalization -------------------------------------------------
@@ -310,30 +339,31 @@ def test_degenerate_pt_matches_closed_form_over_inputs(n, m_e, m_p, mbar_e, mbar
 
 @pytest.fixture
 def manifold_work(monkeypatch):
-    """Every radial basis build and dense eigensolve, from an empty spectrum cache."""
-    calls = []
+    """The n of every exact manifold build, and every z-block solved, from an
+    empty spectrum cache."""
+    calls = {"builds": [], "blocks": 0}
+    dipoles, roots = _spherical.squared_dipoles, _spherical.block_roots
 
-    def spy(name, inner):
-        def counting(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-        return counting
+    def build(n):
+        calls["builds"].append(n)
+        return dipoles(n)
 
-    monkeypatch.setattr(oracle, "_radial_channel", spy("basis", oracle._radial_channel))
-    for name in ("eigh", "eigvalsh", "cholesky"):
-        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-    oracle._manifold_spectrum.cache_clear()
+    def block(squares):
+        calls["blocks"] += 1
+        return roots(squares)
+
+    monkeypatch.setattr(_spherical, "squared_dipoles", build)
+    monkeypatch.setattr(_spherical, "block_roots", block)
+    _spherical.manifold_spectrum.cache_clear()
     yield calls
-    oracle._manifold_spectrum.cache_clear()
+    _spherical.manifold_spectrum.cache_clear()
 
 
 def test_manifold_spectrum_cache_skips_repeat_builds(manifold_work, consts):
     first = degenerate_pt(3, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts)
-    assert manifold_work.count("basis") == 3   # l = 0, 1, 2
-    assert manifold_work.count("eigvalsh") == 3 + 3   # Gauss nodes per l, z-block per m
+    assert manifold_work == {"builds": [3], "blocks": 3}   # one z-block per m = 0, 1, 2
 
     # Masses and field are not part of the cache key.
-    manifold_work.clear()
     other = CompositeMasses(
         total_mass=2.0e-27,
         reduced_mass=1.2e-30,
@@ -341,16 +371,32 @@ def test_manifold_spectrum_cache_skips_repeat_builds(manifold_work, consts):
         mass_asymmetry=-2.4e-30,
     )
     cached = degenerate_pt(3, other, FieldSpec(magnitude=123.0), consts)
-    assert manifold_work == []
+    assert manifold_work == {"builds": [3], "blocks": 3}
     assert [count for _, count in cached] == [count for _, count in first]
 
-    oracle._manifold_spectrum.cache_clear()
+    _spherical.manifold_spectrum.cache_clear()
     assert cached == degenerate_pt(3, other, FieldSpec(magnitude=123.0), consts)
-    assert manifold_work.count("basis") == 3
+    assert manifold_work == {"builds": [3, 3], "blocks": 6}
 
-    manifold_work.clear()
+    degenerate_pt(4, other, FieldSpec(magnitude=123.0), consts)
+    assert manifold_work == {"builds": [3, 3, 4], "blocks": 10}
     assert degenerate_pt(1, _composites(9.1e-31), FieldSpec(magnitude=9.8), consts) == [(0.0, 1)]
-    assert manifold_work == []
+    assert manifold_work == {"builds": [3, 3, 4], "blocks": 10}
+
+
+def test_overflowing_pivot_floor_is_rejected_before_any_solve(monkeypatch):
+    # (0.5/h^2)^2 overflows below h = 6e-78, where LAPACK's bisection cannot
+    # run: the scan refuses the grid without calling it.
+    import scipy.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh_tridiagonal called")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid coefficients overflow a float"):
+            stabilization_scan([1e-97, 2e-97, 4e-97], 0.0, (-0.02, 0.02), spacing=1e-100)
 
 
 # --- stabilization scan --------------------------------------------------------

@@ -94,7 +94,7 @@ def test_shift_ratio_linear_in_nk(consts, terrestrial_field):
 def test_shift_reduces_to_force_times_bohr(consts):
     # n = 2, k = 1 with asymmetry equal to the reduced mass: the shift is
     # -3 F a with F the internal force and a the reduced-mass Bohr radius;
-    # cross-checked against dense diagonalization in the oracle tests.
+    # cross-checked against the exact manifold spectrum in the oracle tests.
     comp = CompositeMasses(
         total_mass=1.674e-27,
         reduced_mass=9.1e-31,
